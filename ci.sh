@@ -11,6 +11,9 @@ cargo build --workspace --release
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+echo "==> benchmark package smoke tier (the benchmark builds against the crates' public API)"
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 

@@ -1,8 +1,8 @@
-//! E7 runtime bench — executor throughput: serial vs chunked-parallel vs
-//! the sharded mailbox runtime at 1/2/4/8 shards.
+//! E7 runtime bench — executor throughput: serial vs the sharded mailbox
+//! runtime at 1/2/4/8 shards.
 //!
-//! All three executors are round-for-round identical (asserted in the
-//! bodies), so this measures pure execution cost: the runtime pays per-round
+//! Both executors are round-for-round identical (asserted in the bodies),
+//! so this measures pure execution cost: the runtime pays per-round
 //! barriers plus beacon serialization across the partition cut in exchange
 //! for parallel guard evaluation. Besides the criterion output, each
 //! configuration emits one machine-readable `BENCH {...}` JSON line on
@@ -14,7 +14,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use selfstab_bench::observatory::{measure_record, ExecKind, SCHEMA, SHARD_COUNTS};
 use selfstab_core::smm::Smm;
 use selfstab_engine::active::Schedule;
-use selfstab_engine::par::ParSyncExecutor;
 use selfstab_engine::protocol::InitialState;
 use selfstab_engine::sync::SyncExecutor;
 use selfstab_graph::{generators, Graph, Ids};
@@ -38,15 +37,6 @@ fn bench(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("serial", n), &n, |b, &n| {
         b.iter(|| {
             let run = serial.run(init(), n + 2);
-            assert!(run.stabilized());
-            black_box(run.rounds())
-        });
-    });
-
-    let par = ParSyncExecutor::new(&g, &smm);
-    group.bench_with_input(BenchmarkId::new("parallel", n), &n, |b, &n| {
-        b.iter(|| {
-            let run = par.run(init(), n + 2);
             assert!(run.stabilized());
             black_box(run.rounds())
         });
@@ -79,9 +69,7 @@ fn emit_bench_points(g: &Graph, smm: &Smm) {
         return;
     }
     println!("BENCH-SCHEMA {SCHEMA}");
-    let mut execs = vec![ExecKind::Serial, ExecKind::Parallel];
-    execs.extend(SHARD_COUNTS.map(ExecKind::Runtime));
-    for exec in execs {
+    for exec in ExecKind::all() {
         let record = measure_record(
             g,
             smm,

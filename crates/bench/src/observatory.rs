@@ -32,7 +32,6 @@ use selfstab_core::smi::Smi;
 use selfstab_core::smm::Smm;
 use selfstab_engine::active::Schedule;
 use selfstab_engine::obs::MetricsCollector;
-use selfstab_engine::par::ParSyncExecutor;
 use selfstab_engine::protocol::{InitialState, Protocol, WireState};
 use selfstab_engine::sync::SyncExecutor;
 use selfstab_graph::{generators, Graph, Ids};
@@ -160,8 +159,6 @@ impl TopologyKind {
 pub enum ExecKind {
     /// Serial synchronous executor.
     Serial,
-    /// Chunked fork–join parallel executor.
-    Parallel,
     /// Sharded mailbox runtime at the given shard count.
     Runtime(usize),
 }
@@ -169,7 +166,7 @@ pub enum ExecKind {
 impl ExecKind {
     /// All executor variants in matrix order.
     pub fn all() -> Vec<ExecKind> {
-        let mut v = vec![ExecKind::Serial, ExecKind::Parallel];
+        let mut v = vec![ExecKind::Serial];
         v.extend(SHARD_COUNTS.iter().map(|&k| ExecKind::Runtime(k)));
         v
     }
@@ -178,14 +175,13 @@ impl ExecKind {
     pub fn name(self) -> String {
         match self {
             ExecKind::Serial => "serial".into(),
-            ExecKind::Parallel => "parallel".into(),
             ExecKind::Runtime(k) => format!("runtime@{k}"),
         }
     }
 }
 
 /// Wire and shard-balance quantities a sharded-runtime cell carries
-/// (absent for serial/parallel cells, which have no wire).
+/// (absent for serial cells, which have no wire).
 #[derive(Clone, Debug, PartialEq)]
 pub struct WireSummary {
     /// Mean encoded boundary-beacon bytes per round.
@@ -490,11 +486,6 @@ where
             let run = e.run_observed(init.clone(), max_rounds, &mut metrics);
             (run.rounds(), run.stabilized())
         }
-        ExecKind::Parallel => {
-            let e = ParSyncExecutor::new(graph, proto).with_schedule(schedule);
-            let run = e.run_observed(init.clone(), max_rounds, &mut metrics);
-            (run.rounds(), run.stabilized())
-        }
         ExecKind::Runtime(k) => {
             let e = RuntimeExecutor::new(graph, proto, k).with_schedule(schedule);
             let run = e
@@ -514,10 +505,6 @@ where
             let got = match exec {
                 ExecKind::Serial => {
                     let e = SyncExecutor::new(graph, proto).with_schedule(schedule);
-                    e.run(init.clone(), max_rounds).rounds()
-                }
-                ExecKind::Parallel => {
-                    let e = ParSyncExecutor::new(graph, proto).with_schedule(schedule);
                     e.run(init.clone(), max_rounds).rounds()
                 }
                 ExecKind::Runtime(k) => {
@@ -543,7 +530,7 @@ where
 
 /// Fold the observed run's runtime counters and lane profiles into a
 /// [`WireSummary`]; `None` when the run carried no runtime counters
-/// (serial/parallel executors).
+/// (serial executor).
 fn fold_wire<S>(metrics: &MetricsCollector<S>, rounds: usize) -> Option<WireSummary> {
     let mut any = false;
     let (mut bytes, mut frames, mut suppressed, mut peak) = (0u64, 0u64, 0u64, 0u64);
@@ -871,15 +858,15 @@ mod tests {
     #[test]
     fn matrix_covers_all_axes_and_roundtrips() {
         let a = tiny_artifact();
-        // 3 protocols × 3 topologies × (serial + parallel + 4 shard counts)
+        // 3 protocols × 3 topologies × (serial + 4 shard counts)
         // × 2 schedules.
-        assert_eq!(a.records.len(), 108);
+        assert_eq!(a.records.len(), 90);
         let ids: std::collections::HashSet<String> =
             a.records.iter().map(|r| r.cell_id()).collect();
-        assert_eq!(ids.len(), 108, "cell ids must be unique");
+        assert_eq!(ids.len(), 90, "cell ids must be unique");
         assert!(ids.contains("smm/path/serial/full"));
         assert!(ids.contains("hsu-huang/unit-disk/runtime@8/active"));
-        // Runtime cells carry wire summaries, serial/parallel cells don't.
+        // Runtime cells carry wire summaries, serial cells don't.
         for r in &a.records {
             assert_eq!(
                 r.wire.is_some(),
@@ -898,7 +885,7 @@ mod tests {
     fn self_compare_is_all_unchanged() {
         let a = tiny_artifact();
         let report = compare(&a, &a, &NoiseGate::default()).unwrap();
-        assert_eq!(report.cells.len(), 108);
+        assert_eq!(report.cells.len(), 90);
         assert_eq!(report.count(Verdict::Regressed), 0);
         assert_eq!(report.count(Verdict::Improved), 0);
         assert!(report.flagged().is_empty());

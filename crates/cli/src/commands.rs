@@ -90,7 +90,7 @@ USAGE:
   selfstab bench  [--quick] [--out <file>] [--pr <id>] [--n <N>] [--reps <R>]
                   [--compare <old.json> [<new.json>]] [--rel-threshold <frac>]
                   standing performance observatory: runs the pinned matrix
-                  (SMM/SMI/Hsu-Huang x path/star/unit-disk x serial/parallel/
+                  (SMM/SMI/Hsu-Huang x path/star/unit-disk x serial/
                   runtime@1,2,4,8 x full/active) over the seeded suite grid and
                   writes a schema-versioned BENCH_<pr>.json (rounds/sec,
                   guard-evals/sec, wire bytes/round, suppressed frames, inbox

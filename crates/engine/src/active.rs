@@ -26,8 +26,9 @@
 //! privileged (Lemmas 9–10), so total evaluation work tracks *moves*, not
 //! `n · rounds`.
 //!
-//! [`ActiveSet`] is the worklist shared by [`crate::sync::SyncExecutor`],
-//! [`crate::par::ParSyncExecutor`], and the sharded runtime executor. Cost
+//! [`ActiveSet`] is the worklist of the round kernel ([`crate::kernel`],
+//! behind [`crate::sync::SyncExecutor`], the churned loop and the resident
+//! service's drain) and of the sharded runtime executor. Cost
 //! per round is `O(f log f)` for a frontier of `f` dirty nodes (marking is
 //! `O(1)` amortized per closed-neighborhood edge; one sort restores the
 //! node order the executors report moves in), independent of `n` after the

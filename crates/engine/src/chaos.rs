@@ -26,15 +26,15 @@
 //! churn boundaries (see `selfstab-runtime`); the serial core here is the
 //! reference semantics its equivalence tests compare against.
 
-use crate::active::{ActiveSet, Schedule};
-use crate::obs::{Observer, RoundStats};
-use crate::par::{par_privileged_moves, par_privileged_moves_among};
-use crate::protocol::{InitialState, Move, Protocol, View};
+use crate::active::Schedule;
+use crate::kernel::Kernel;
+use crate::obs::Observer;
+use crate::protocol::{InitialState, Protocol};
 use crate::sync::{Outcome, Run};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selfstab_graph::mutate::{Churn, TopologyEvent};
-use selfstab_graph::{Graph, Node};
+use selfstab_graph::Graph;
 
 /// A seeded schedule of live topology churn: `events` connectivity-
 /// preserving edge changes every `every` rounds, for `epochs` batches.
@@ -213,21 +213,17 @@ pub fn run_churned_serial<P: Protocol>(
     init: InitialState<P::State>,
     max_rounds: usize,
 ) -> Result<ChaosRun<P::State>, String> {
-    churned_core(
-        graph,
-        proto,
-        schedule,
-        plan,
-        init,
-        max_rounds,
-        None,
-        &mut (),
-    )
+    run_churned_serial_observed(graph, proto, schedule, plan, init, max_rounds, &mut ())
 }
 
 /// Serial churned execution with [`Observer`] hooks: the same per-round
-/// hook sequence as [`crate::sync::SyncExecutor::run_observed`], on the
-/// live (mutating) graph.
+/// hook sequence and phase spans as
+/// [`crate::sync::SyncExecutor::run_observed`], on the live (mutating)
+/// graph.
+///
+/// Each round is one [`Kernel`] step; this loop seeds the churned edges'
+/// endpoints and decides termination, fast-forwarding quiescent gaps to the
+/// next churn boundary.
 pub fn run_churned_serial_observed<P: Protocol, O: Observer<P::State>>(
     graph: &Graph,
     proto: &P,
@@ -237,223 +233,79 @@ pub fn run_churned_serial_observed<P: Protocol, O: Observer<P::State>>(
     max_rounds: usize,
     obs: &mut O,
 ) -> Result<ChaosRun<P::State>, String> {
-    churned_core(graph, proto, schedule, plan, init, max_rounds, None, obs)
-}
-
-/// Data-parallel churned execution; bit-identical to the serial form (the
-/// round step is a pure function of the previous state vector either way).
-pub fn run_churned_par<P: Protocol>(
-    graph: &Graph,
-    proto: &P,
-    schedule: Schedule,
-    plan: &ChurnSchedule,
-    init: InitialState<P::State>,
-    max_rounds: usize,
-    threads: usize,
-) -> Result<ChaosRun<P::State>, String> {
-    churned_core(
-        graph,
-        proto,
-        schedule,
-        plan,
-        init,
-        max_rounds,
-        Some(threads.max(1)),
-        &mut (),
-    )
-}
-
-/// The shared churned round loop. `threads: None` evaluates serially in
-/// node order; `Some(t)` uses the chunked scoped-thread evaluation of
-/// [`crate::par`] (identical results).
-#[allow(clippy::too_many_arguments)]
-fn churned_core<P: Protocol, O: Observer<P::State>>(
-    graph: &Graph,
-    proto: &P,
-    schedule: Schedule,
-    plan: &ChurnSchedule,
-    init: InitialState<P::State>,
-    max_rounds: usize,
-    threads: Option<usize>,
-    obs: &mut O,
-) -> Result<ChaosRun<P::State>, String> {
     let mut feed = plan.feed()?;
     let mut graph = graph.clone();
     let mut states = init.materialize(&graph, proto);
     let mut moves_per_rule = vec![0u64; proto.rule_names().len()];
-    let n = states.len();
-    let mut active =
-        (schedule == Schedule::Active).then(|| (ActiveSet::full(n), ActiveSet::empty(n)));
+    let mut kernel = Kernel::new(schedule, states.len(), moves_per_rule.len());
     let mut round = 0usize;
 
-    loop {
-        for ev in feed.next_events(round, &mut graph) {
-            let e = ev.edge();
-            if let Some((cur, _)) = active.as_mut() {
-                // A link change can newly privilege either endpoint or
-                // any neighbor of one: dirty both closed neighborhoods
-                // on the *mutated* graph. (For a removed edge the two
-                // closed neighborhoods no longer overlap — that is the
-                // point.)
-                cur.insert_closed(&graph, e.a);
-                cur.insert_closed(&graph, e.b);
-                cur.seal();
-            }
-        }
-
-        let moves = evaluate(
+    let outcome = loop {
+        // A link change can newly privilege either endpoint or any
+        // neighbor of one: dirty both closed neighborhoods on the
+        // *mutated* graph. (For a removed edge the two closed
+        // neighborhoods no longer overlap — that is the point.)
+        let events = feed.next_events(round, &mut graph);
+        kernel.seed(
             &graph,
-            proto,
-            &states,
-            active.as_ref().map(|(cur, _)| cur.nodes()),
-            threads,
+            events.iter().flat_map(|ev| {
+                let e = ev.edge();
+                [e.a, e.b]
+            }),
         );
-        if moves.is_empty() {
-            if let Some(boundary) = feed.next_boundary() {
-                // Stabilized with churn still scheduled: fast-forward the
-                // quiescent gap to the next boundary (those rounds are
-                // move-free by definition, no node being privileged).
-                if boundary <= max_rounds {
+        if kernel.evaluate(&graph, proto, &states, None, O::ENABLED) == 0 {
+            // Stabilized with churn still scheduled: fast-forward the
+            // quiescent gap to the next boundary (those rounds are
+            // move-free by definition, no node being privileged). When
+            // the remaining epochs cannot fire within the budget, the
+            // run is over.
+            match feed.next_boundary().filter(|&b| b <= max_rounds) {
+                Some(boundary) => {
                     round = boundary;
                     continue;
                 }
-                // The remaining epochs cannot fire within the budget.
+                None => break Outcome::Stabilized,
             }
-            if O::ENABLED {
-                obs.on_finish(&Outcome::Stabilized, &states);
-            }
-            let last_fault_round = feed.last_fault_round();
-            return Ok(finishing(
-                Outcome::Stabilized,
-                states,
-                round,
-                moves_per_rule,
-                graph,
-                feed.into_events(),
-                last_fault_round,
-            ));
         }
         if round >= max_rounds {
-            if O::ENABLED {
-                obs.on_finish(&Outcome::RoundLimit, &states);
-            }
-            let last_fault_round = feed.last_fault_round();
-            return Ok(finishing(
-                Outcome::RoundLimit,
-                states,
-                round,
-                moves_per_rule,
-                graph,
-                feed.into_events(),
-                last_fault_round,
-            ));
-        }
-        let timer = O::ENABLED.then(std::time::Instant::now);
-        let mut round_moves = O::ENABLED.then(|| vec![0u64; moves_per_rule.len()]);
-        if O::ENABLED {
-            obs.on_round_start(round + 1, &states);
-        }
-        let privileged = moves.len();
-        let evaluated = active
-            .as_ref()
-            .map(|(cur, _)| cur.nodes().len())
-            .unwrap_or(n);
-        for (v, m) in moves {
-            moves_per_rule[m.rule] += 1;
-            if let Some(per) = round_moves.as_mut() {
-                per[m.rule] += 1;
-            }
-            let rule = m.rule;
-            states[v.index()] = m.next;
-            if let Some((_, next)) = active.as_mut() {
-                next.insert_closed(&graph, v);
-            }
-            if O::ENABLED {
-                obs.on_move(v, rule, &states[v.index()]);
-            }
-        }
-        if let Some((cur, next)) = active.as_mut() {
-            next.seal();
-            cur.clear();
-            std::mem::swap(cur, next);
+            break Outcome::RoundLimit;
         }
         round += 1;
+        let stats = kernel.apply(round, &graph, &mut states, Vec::new(), obs);
+        for (total, k) in moves_per_rule.iter_mut().zip(&stats.moves_per_rule) {
+            *total += k;
+        }
         if O::ENABLED {
-            let stats = RoundStats {
-                round,
-                privileged,
-                evaluated,
-                moves_per_rule: round_moves.take().unwrap_or_default(),
-                duration_micros: timer.map(|t| t.elapsed().as_micros() as u64).unwrap_or(0),
-                beacon: None,
-                runtime: None,
-                // Churned serial runs do not carry phase spans: the churn
-                // loop restructures the round and the spans would not be
-                // comparable to the plain executors'.
-                profile: None,
-            };
             obs.on_round_end(&stats, &states);
         }
+    };
+    if O::ENABLED {
+        obs.on_finish(&outcome, &states);
     }
-}
-
-fn evaluate<P: Protocol>(
-    graph: &Graph,
-    proto: &P,
-    states: &[P::State],
-    worklist: Option<&[Node]>,
-    threads: Option<usize>,
-) -> Vec<(Node, Move<P::State>)> {
-    match (worklist, threads) {
-        (Some(nodes), Some(t)) => par_privileged_moves_among(graph, proto, t, states, nodes),
-        (None, Some(t)) => par_privileged_moves(graph, proto, t, states),
-        (Some(nodes), None) => nodes
-            .iter()
-            .filter_map(|&v| {
-                let view = View::new(v, graph.neighbors(v), states);
-                proto.step(view).map(|m| (v, m))
-            })
-            .collect(),
-        (None, None) => graph
-            .nodes()
-            .filter_map(|v| {
-                let view = View::new(v, graph.neighbors(v), states);
-                proto.step(view).map(|m| (v, m))
-            })
-            .collect(),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn finishing<S>(
-    outcome: Outcome,
-    states: Vec<S>,
-    rounds: usize,
-    moves_per_rule: Vec<u64>,
-    graph: Graph,
-    events: Vec<(usize, TopologyEvent)>,
-    last_fault_round: usize,
-) -> ChaosRun<S> {
-    ChaosRun {
+    let last_fault_round = feed.last_fault_round();
+    Ok(ChaosRun {
         run: Run {
             final_states: states,
-            rounds,
+            rounds: round,
             moves_per_rule,
             outcome,
             trace: None,
         },
         graph,
-        events,
+        events: feed.into_events(),
         last_fault_round,
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::active::ActiveSet;
+    use crate::obs::{MetricsCollector, Phase};
+    use crate::protocol::{Move, View};
     use crate::testutil::MaxProto;
-    use selfstab_graph::generators;
     use selfstab_graph::traversal::is_connected;
+    use selfstab_graph::{generators, Node};
 
     #[test]
     fn churned_run_is_deterministic_and_stays_connected() {
@@ -489,42 +341,122 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_par_agree_and_schedules_agree() {
+    fn schedules_agree() {
         let g = generators::grid(6, 6);
         let plan = ChurnSchedule::new(3, 17).with_events(2).with_epochs(4);
-        let serial_active = run_churned_serial(
+        let run = |schedule| {
+            run_churned_serial(
+                &g,
+                &MaxProto,
+                schedule,
+                &plan,
+                InitialState::Random { seed: 7 },
+                500,
+            )
+            .unwrap()
+        };
+        let (active, full) = (run(Schedule::Active), run(Schedule::Full));
+        assert_eq!(active.run.final_states, full.run.final_states);
+        assert_eq!(active.run.rounds, full.run.rounds);
+        assert_eq!(active.run.moves_per_rule, full.run.moves_per_rule);
+        assert_eq!(active.events, full.events);
+    }
+
+    /// A topology-sensitive toy protocol: a node's state is its degree, so
+    /// a churned link privileges exactly its two endpoints.
+    struct DegreeProto;
+
+    impl Protocol for DegreeProto {
+        type State = u8;
+
+        fn rule_names(&self) -> &'static [&'static str] {
+            &["count-degree"]
+        }
+
+        fn default_state(&self) -> u8 {
+            0
+        }
+
+        fn arbitrary_state(&self, _: Node, _: &[Node], _: &mut StdRng) -> u8 {
+            0
+        }
+
+        fn enumerate_states(&self, _: Node, neighbors: &[Node]) -> Vec<u8> {
+            (0..=neighbors.len() as u8).collect()
+        }
+
+        fn step(&self, view: View<'_, u8>) -> Option<Move<u8>> {
+            let degree = view.neighbor_states().count() as u8;
+            (degree != *view.own()).then_some(Move {
+                rule: 0,
+                next: degree,
+            })
+        }
+    }
+
+    #[test]
+    fn churn_after_a_quiet_gap_evaluates_only_the_churned_neighborhoods() {
+        // Round 1 moves every node of the path, so round 2's worklist is
+        // all of V and finds nothing; the run then fast-forwards to the
+        // boundary at round 5. The first round after the churn must
+        // evaluate N[a] ∪ N[b] of the new link a–b, not the stale V.
+        let g = Graph::from_edges(12, (0..11).map(|i| (i, i + 1)));
+        let plan = ChurnSchedule::new(5, 3);
+        let run = |schedule, obs: &mut MetricsCollector<u8>| {
+            run_churned_serial_observed(
+                &g,
+                &DegreeProto,
+                schedule,
+                &plan,
+                InitialState::Default,
+                100,
+                obs,
+            )
+            .unwrap()
+        };
+        let (mut active_m, mut full_m) = (MetricsCollector::new(), MetricsCollector::new());
+        let active = run(Schedule::Active, &mut active_m);
+        let full = run(Schedule::Full, &mut full_m);
+        assert_eq!(active.run.final_states, full.run.final_states);
+        assert_eq!(active.run.rounds, full.run.rounds);
+        assert_eq!(active.run.rounds, 6);
+        let [(5, event)] = active.events[..] else {
+            panic!("one churn event at round 5, got {:?}", active.events);
+        };
+        let e = event.edge();
+        let mut seeded = ActiveSet::empty(g.n());
+        seeded.insert_closed(&active.graph, e.a);
+        seeded.insert_closed(&active.graph, e.b);
+        let rounds = active_m.rounds();
+        assert_eq!(rounds.iter().map(|r| r.round).collect::<Vec<_>>(), [1, 6]);
+        assert_eq!(rounds[1].evaluated, seeded.len());
+        assert_eq!(rounds[1].privileged, 2);
+        assert!(full_m.rounds().iter().all(|r| r.evaluated == g.n()));
+    }
+
+    #[test]
+    fn observed_churned_rounds_carry_the_serial_lane_profile() {
+        let g = generators::grid(5, 5);
+        let plan = ChurnSchedule::new(3, 5).with_events(2).with_epochs(2);
+        let mut m = MetricsCollector::new();
+        let out = run_churned_serial_observed(
             &g,
             &MaxProto,
             Schedule::Active,
             &plan,
-            InitialState::Random { seed: 7 },
+            InitialState::Random { seed: 4 },
             500,
+            &mut m,
         )
         .unwrap();
-        let serial_full = run_churned_serial(
-            &g,
-            &MaxProto,
-            Schedule::Full,
-            &plan,
-            InitialState::Random { seed: 7 },
-            500,
-        )
-        .unwrap();
-        let par = run_churned_par(
-            &g,
-            &MaxProto,
-            Schedule::Active,
-            &plan,
-            InitialState::Random { seed: 7 },
-            500,
-            4,
-        )
-        .unwrap();
-        for other in [&serial_full, &par] {
-            assert_eq!(serial_active.run.final_states, other.run.final_states);
-            assert_eq!(serial_active.run.rounds, other.run.rounds);
-            assert_eq!(serial_active.run.moves_per_rule, other.run.moves_per_rule);
-            assert_eq!(serial_active.events, other.events);
+        // Fast-forwarded quiet gaps apply no rounds, so there may be fewer
+        // records than the final round clock.
+        assert!(!m.rounds().is_empty() && m.rounds().len() <= out.run.rounds);
+        for r in m.rounds() {
+            let lanes = &r.profile.as_ref().expect("every round is profiled").shards;
+            assert_eq!(lanes.len(), 1, "round {}", r.round);
+            assert_eq!(lanes[0].spans.count(Phase::GuardEval), 1);
+            assert_eq!(lanes[0].spans.count(Phase::Apply), 1);
         }
     }
 

@@ -41,8 +41,8 @@ impl std::fmt::Display for FaultError {
 
 impl std::error::Error for FaultError {}
 
-/// A crash-restart scheduled *inside* a run, for the in-process executors
-/// ([`SyncExecutor`] / `ParSyncExecutor`): entering round `round` (0-based,
+/// A crash-restart scheduled *inside* a run, for the in-process executor
+/// ([`SyncExecutor`]): entering round `round` (0-based,
 /// counting applied rounds — the same clock as the sharded runtime's
 /// `CrashSpec`), `ceil(frac · n)` nodes lose their state and rehydrate with
 /// arbitrary values, the paper's adversarial-restart fault fired mid-run

@@ -17,8 +17,8 @@
 //! (non-stabilizing executions provably cycle, because the system is
 //! deterministic and finite — [`sync`] catches that), fault injection
 //! ([`faults`]), brute-force verification over *all* initial states and all
-//! small connected topologies ([`exhaustive`]), and a data-parallel
-//! synchronous executor ([`par`]) that is bit-identical to the serial one.
+//! small connected topologies ([`exhaustive`]), and the synchronous round
+//! step itself ([`kernel`]), shared by every in-process synchronous round loop.
 //!
 //! Every executor also has an observed entry point
 //! (e.g. [`sync::SyncExecutor::run_observed`]) threading the zero-cost
@@ -36,8 +36,8 @@ pub mod compose;
 pub mod distributed;
 pub mod exhaustive;
 pub mod faults;
+pub mod kernel;
 pub mod obs;
-pub mod par;
 pub mod potential;
 pub mod protocol;
 pub mod record;

@@ -8,8 +8,8 @@
 //! elsewhere (another implementation, a testbed log) can be machine-checked
 //! against this reference implementation.
 
+use crate::kernel::privileged_moves;
 use crate::protocol::Protocol;
-use crate::sync::SyncExecutor;
 use selfstab_graph::{Graph, Node};
 use selfstab_json::{FromJson, Json, JsonError, ToJson};
 use std::fmt;
@@ -154,7 +154,6 @@ pub fn validate_trace<P: Protocol>(
     proto: &P,
     rec: &RecordedRun<P::State>,
 ) -> Result<(), TraceError> {
-    let exec = SyncExecutor::new(&rec.graph, proto);
     let n = rec.graph.n();
     for (t, states) in rec.trace.iter().enumerate() {
         if states.len() != n {
@@ -163,7 +162,7 @@ pub fn validate_trace<P: Protocol>(
     }
     for (t, pair) in rec.trace.windows(2).enumerate() {
         let (cur, next) = (&pair[0], &pair[1]);
-        let moves = exec.privileged_moves(cur);
+        let moves = privileged_moves(&rec.graph, proto, cur);
         let mut expected = cur.clone();
         for (v, m) in moves {
             expected[v.index()] = m.next;
@@ -183,7 +182,7 @@ pub fn validate_trace<P: Protocol>(
         }
     }
     if let Some(last) = rec.trace.last() {
-        let quiet = exec.privileged_moves(last).is_empty();
+        let quiet = privileged_moves(&rec.graph, proto, last).is_empty();
         if quiet != rec.stabilized {
             return Err(TraceError::WrongTermination {
                 round: rec.trace.len() - 1,
@@ -197,6 +196,7 @@ pub fn validate_trace<P: Protocol>(
 mod tests {
     use super::*;
     use crate::protocol::InitialState;
+    use crate::sync::SyncExecutor;
     use crate::testutil::MaxProto;
     use selfstab_graph::generators;
 
@@ -250,12 +250,11 @@ mod tests {
     #[test]
     fn unprivileged_move_caught_after_roundtrip() {
         let (g, rec) = traced_run();
-        let exec = SyncExecutor::new(&g, &MaxProto);
         // Find a (round, node) where the node is NOT privileged, then make
         // it move anyway.
         let (t, v) = (0..rec.trace.len() - 1)
             .find_map(|t| {
-                let moves = exec.privileged_moves(&rec.trace[t]);
+                let moves = privileged_moves(&g, &MaxProto, &rec.trace[t]);
                 (0..g.n())
                     .map(Node::from)
                     .find(|v| moves.iter().all(|(u, _)| u != v))
@@ -277,11 +276,10 @@ mod tests {
     #[test]
     fn missed_move_caught_after_roundtrip() {
         let (g, rec) = traced_run();
-        let exec = SyncExecutor::new(&g, &MaxProto);
         // Find a (round, node) where the node IS privileged, then freeze it.
         let (t, v) = (0..rec.trace.len() - 1)
             .find_map(|t| {
-                exec.privileged_moves(&rec.trace[t])
+                privileged_moves(&g, &MaxProto, &rec.trace[t])
                     .first()
                     .map(|(u, _)| (t, *u))
             })

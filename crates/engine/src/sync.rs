@@ -11,13 +11,15 @@
 //! two exactly (used to *prove* the paper's C₄ counterexample oscillates
 //! rather than merely time out).
 
-use crate::active::{ActiveSet, Schedule};
+use crate::active::Schedule;
 use crate::adversary::{AsymPlan, ByzPlan, Perception};
 use crate::faults::CrashAt;
-use crate::obs::{Observer, Phase, PhaseSpans, RoundProfile, RoundStats, ShardProfile};
-use crate::protocol::{InitialState, Move, Protocol, View};
+use crate::kernel::Kernel;
+use crate::obs::{Observer, Phase, RoundStats};
+use crate::protocol::{InitialState, Move, Protocol};
 use selfstab_graph::{Graph, Node};
 use std::collections::HashMap;
+use std::time::Instant;
 
 /// Why an execution ended.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -153,39 +155,6 @@ impl<'a, P: Protocol> SyncExecutor<'a, P> {
         self.graph
     }
 
-    /// Compute the moves of all privileged nodes for the given global state.
-    /// Returns `(node, move)` pairs in node order.
-    pub fn privileged_moves(
-        &self,
-        states: &[P::State],
-    ) -> Vec<(Node, crate::protocol::Move<P::State>)> {
-        self.graph
-            .nodes()
-            .filter_map(|v| {
-                let view = View::new(v, self.graph.neighbors(v), states);
-                self.proto.step(view).map(|m| (v, m))
-            })
-            .collect()
-    }
-
-    /// Compute the moves of the privileged nodes *among* `nodes` (which must
-    /// be sorted in node order). Sound as a round step whenever `nodes` is a
-    /// superset of the privileged set — which the active-set invariant
-    /// guarantees (see [`crate::active`]).
-    fn privileged_moves_among(
-        &self,
-        states: &[P::State],
-        nodes: &[Node],
-    ) -> Vec<(Node, crate::protocol::Move<P::State>)> {
-        nodes
-            .iter()
-            .filter_map(|&v| {
-                let view = View::new(v, self.graph.neighbors(v), states);
-                self.proto.step(view).map(|m| (v, m))
-            })
-            .collect()
-    }
-
     /// Execute synchronously from `init` for at most `max_rounds` rounds.
     pub fn run(&self, init: InitialState<P::State>, max_rounds: usize) -> Run<P::State> {
         // `()` has `ENABLED == false`: monomorphization removes every
@@ -200,29 +169,31 @@ impl<'a, P: Protocol> SyncExecutor<'a, P> {
     /// once, with the final outcome. Timing and per-round bookkeeping are
     /// guarded by [`Observer::ENABLED`], so a disabled observer costs
     /// nothing.
+    ///
+    /// Each round is one [`Kernel`] step; this loop only seeds it (crash
+    /// victims, the catch-up sweep after an asymmetric-link window), hands
+    /// it the Byzantine rewrites, and decides termination.
     pub fn run_observed<O: Observer<P::State>>(
         &self,
         init: InitialState<P::State>,
         max_rounds: usize,
         obs: &mut O,
     ) -> Run<P::State> {
-        let mut states = init.materialize(self.graph, self.proto);
+        let graph = self.graph;
+        let mut states = init.materialize(graph, self.proto);
         let mut moves_per_rule = vec![0u64; self.proto.rule_names().len()];
         let mut trace = self.trace.then(|| vec![states.clone()]);
         let mut seen: Option<HashMap<Vec<P::State>, usize>> = self.detect_cycles.then(HashMap::new);
-        // Ping-pong pair of worklists; round 1 evaluates everything.
-        let n = states.len();
-        let mut active =
-            (self.schedule == Schedule::Active).then(|| (ActiveSet::full(n), ActiveSet::empty(n)));
+        let mut kernel = Kernel::new(self.schedule, states.len(), moves_per_rule.len());
         // Perception rows for the asymmetric-link model: what each node
         // last heard from each neighbor, seeded from the boot states.
         let mut perception = self.asym.as_ref().map(|_| {
-            let tracked: Vec<Node> = self.graph.nodes().collect();
-            Perception::new(self.graph, &tracked, &states)
+            let tracked: Vec<Node> = graph.nodes().collect();
+            Perception::new(graph, &tracked, &states)
         });
 
         let mut round = 0usize;
-        loop {
+        let outcome = loop {
             // A scheduled crash keeps the run alive through its round — the
             // sharded runtime does the same (`FaultPlan::crash_pending`) —
             // so a quiesced pre-crash configuration cannot report
@@ -246,19 +217,9 @@ impl<'a, P: Protocol> SyncExecutor<'a, P> {
                     seen.clear();
                 }
                 if let Some(&first_seen) = seen.get(&states) {
-                    let outcome = Outcome::Cycle {
+                    break Outcome::Cycle {
                         first_seen,
                         period: round - first_seen,
-                    };
-                    if O::ENABLED {
-                        obs.on_finish(&outcome, &states);
-                    }
-                    return Run {
-                        final_states: states,
-                        rounds: round,
-                        moves_per_rule,
-                        outcome,
-                        trace,
                     };
                 }
                 seen.insert(states.clone(), round);
@@ -266,196 +227,75 @@ impl<'a, P: Protocol> SyncExecutor<'a, P> {
 
             // An injected crash fires at the top of its round, before
             // evaluation, exactly like the runtime's worker crash-restart.
-            let mut rehydrate_nanos = 0u64;
-            if let Some(c) = self.crash.as_ref().filter(|c| c.round == round) {
-                if round < max_rounds {
-                    let t0 = O::ENABLED.then(std::time::Instant::now);
-                    let victims = c.apply(self.proto, self.graph, &mut states);
-                    if let Some((cur, _)) = active.as_mut() {
-                        // Every victim's closed neighborhood re-enters
-                        // evaluation: the rehydrated state changes its own
-                        // guards and its neighbors'.
-                        for &v in &victims {
-                            cur.insert_closed(self.graph, v);
-                        }
-                        cur.seal();
-                    }
+            // Every victim's closed neighborhood re-enters evaluation: the
+            // rehydrated state changes its own guards and its neighbors'.
+            if let Some(c) = self.crash.as_ref() {
+                if c.round == round && round < max_rounds {
+                    let t0 = O::ENABLED.then(Instant::now);
+                    let victims = c.apply(self.proto, graph, &mut states);
+                    kernel.seed(graph, victims);
                     if let Some(t0) = t0 {
-                        rehydrate_nanos = t0.elapsed().as_nanos() as u64;
+                        kernel.record(Phase::Rehydrate, t0.elapsed().as_nanos() as u64);
                     }
                 }
             }
 
-            // Deliver this round's inbound beacons under the asymmetric-link
-            // model: up directions copy the sender's current state, down
-            // directions keep the last heard value.
             if asym_live {
-                if let (Some(plan), Some(per)) = (self.asym.as_ref(), perception.as_mut()) {
-                    per.refresh(self.graph, plan, round, &states);
-                }
-            }
-
-            let guard_timer = O::ENABLED.then(std::time::Instant::now);
-            let (moves, evaluated) = if asym_live {
-                // Evaluate everyone on their *perceived* neighbor states
+                // Deliver this round's inbound beacons: up directions copy
+                // the sender's current state, down directions keep the last
+                // heard value. Evaluation then runs on the perceived views
                 // (worklist pruning is unsound while links fail — see
                 // `AsymPlan::sweep`).
-                let per = perception.as_ref().expect("asym plan implies perception");
-                let moves = self
-                    .graph
-                    .nodes()
-                    .filter_map(|v| {
-                        let pos = per.position(v).expect("serial tracks every node");
-                        let view =
-                            View::with_overlay(v, self.graph.neighbors(v), &states, per.row(pos));
-                        self.proto.step(view).map(|m| (v, m))
-                    })
-                    .collect();
-                (moves, n)
-            } else if asym_sweep {
-                // Catch-up round after the window closes: true views, but a
-                // full sweep — perception may have just caught up, changing
-                // views without any neighbor moving.
-                (self.privileged_moves(&states), n)
-            } else {
-                match active.as_ref() {
-                    Some((cur, _)) => {
-                        (self.privileged_moves_among(&states, cur.nodes()), cur.len())
-                    }
-                    None => (self.privileged_moves(&states), n),
+                if let (Some(plan), Some(per)) = (self.asym.as_ref(), perception.as_mut()) {
+                    per.refresh(graph, plan, round, &states);
                 }
-            };
-            let guard_nanos = guard_timer
-                .map(|t| t.elapsed().as_nanos() as u64)
-                .unwrap_or(0);
+            } else if asym_sweep {
+                // Catch-up round after the window closes: true views, but
+                // everyone — perception may have just caught up, changing
+                // views without any neighbor moving.
+                kernel.seed(graph, graph.nodes());
+            }
+            let perceived = perception.as_ref().filter(|_| asym_live);
+            let privileged = kernel.evaluate(graph, self.proto, &states, perceived, O::ENABLED);
             // A lagging perception can still surface moves once the missed
             // beacons land, and a hot adversary will keep rewriting states:
             // neither may report stabilization yet.
-            let asym_keep = asym_live && perception.as_ref().is_some_and(|p| p.lagging());
-            if moves.is_empty() && !crash_pending && !byz_hot && !asym_keep {
-                if O::ENABLED {
-                    obs.on_finish(&Outcome::Stabilized, &states);
-                }
-                return Run {
-                    final_states: states,
-                    rounds: round,
-                    moves_per_rule,
-                    outcome: Outcome::Stabilized,
-                    trace,
-                };
+            let asym_keep = perceived.is_some_and(|p| p.lagging());
+            if privileged == 0 && !crash_pending && !byz_hot && !asym_keep {
+                break Outcome::Stabilized;
             }
             if round >= max_rounds {
-                if O::ENABLED {
-                    obs.on_finish(&Outcome::RoundLimit, &states);
-                }
-                return Run {
-                    final_states: states,
-                    rounds: round,
-                    moves_per_rule,
-                    outcome: Outcome::RoundLimit,
-                    trace,
-                };
+                break Outcome::RoundLimit;
             }
-            let timer = O::ENABLED.then(std::time::Instant::now);
-            let mut round_moves = O::ENABLED.then(|| vec![0u64; moves_per_rule.len()]);
-            // Observer-hook time is accumulated separately so the `gauges`
-            // span reports the observation overhead itself, and the `apply`
-            // span stays pure state-writing.
-            let mut hook_nanos = 0u64;
-            if O::ENABLED {
-                let t0 = std::time::Instant::now();
-                obs.on_round_start(round + 1, &states);
-                hook_nanos += t0.elapsed().as_nanos() as u64;
-            }
-            let privileged = moves.len();
             // Byzantine writes are computed from the round's *pre-apply*
             // snapshot (the states every node evaluated on) and applied
             // after the honest moves — "as if the node moved". The sharded
             // runtime does exactly the same, owner-side.
-            let byz_writes = if byz_hot {
-                let plan = self.byz.as_ref().expect("byz_hot implies a plan");
-                plan.writes_for(self.proto, self.graph, round, &states)
-            } else {
-                Vec::new()
+            let byz_writes = match self.byz.as_ref() {
+                Some(plan) if byz_hot => plan.writes_for(self.proto, graph, round, &states),
+                _ => Vec::new(),
             };
-            let apply_timer = O::ENABLED.then(std::time::Instant::now);
-            let mut move_hook_nanos = 0u64;
-            for (v, m) in moves {
-                moves_per_rule[m.rule] += 1;
-                if let Some(rm) = round_moves.as_mut() {
-                    rm[m.rule] += 1;
-                }
-                let rule = m.rule;
-                states[v.index()] = m.next;
-                if let Some((_, next)) = active.as_mut() {
-                    next.insert_closed(self.graph, v);
-                }
-                if O::ENABLED {
-                    let t0 = std::time::Instant::now();
-                    obs.on_move(v, rule, &states[v.index()]);
-                    move_hook_nanos += t0.elapsed().as_nanos() as u64;
-                }
-            }
-            for (b, s) in byz_writes {
-                // A rewrite that matches the node's current state is a
-                // no-op: nothing changed, nobody's view did either. (The
-                // runtime's delta beacons would suppress it; skipping here
-                // keeps the two executors' worklists identical.)
-                if states[b.index()] == s {
-                    continue;
-                }
-                states[b.index()] = s;
-                if let Some((_, next)) = active.as_mut() {
-                    // The rewrite changes b's guards and its neighbors':
-                    // the whole closed neighborhood re-enters evaluation.
-                    next.insert_closed(self.graph, b);
-                }
-            }
-            if let Some((cur, next)) = active.as_mut() {
-                next.seal();
-                cur.clear();
-                std::mem::swap(cur, next);
-            }
             round += 1;
+            let stats = kernel.apply(round, graph, &mut states, byz_writes, obs);
+            for (total, k) in moves_per_rule.iter_mut().zip(&stats.moves_per_rule) {
+                *total += k;
+            }
             if let Some(trace) = trace.as_mut() {
                 trace.push(states.clone());
             }
             if O::ENABLED {
-                let apply_nanos = apply_timer
-                    .map(|t| t.elapsed().as_nanos() as u64)
-                    .unwrap_or(0)
-                    .saturating_sub(move_hook_nanos);
-                hook_nanos += move_hook_nanos;
-                let mut spans = PhaseSpans::new();
-                if rehydrate_nanos > 0 {
-                    spans.add_nanos(Phase::Rehydrate, rehydrate_nanos);
-                }
-                spans.add_nanos(Phase::GuardEval, guard_nanos);
-                spans.add_nanos(Phase::Apply, apply_nanos);
-                spans.add_nanos(Phase::Gauges, hook_nanos);
-                let duration_micros = timer.map(|t| t.elapsed().as_micros() as u64).unwrap_or(0);
-                let lane = ShardProfile {
-                    shard: 0,
-                    spans,
-                    // The round timer starts after guard evaluation (so
-                    // `duration_micros` keeps its historical meaning); the
-                    // lane's wall-clock adds the pre-timer phases back in.
-                    round_micros: duration_micros + (guard_nanos + rehydrate_nanos) / 1_000,
-                    inbox_max_depth: 0,
-                    inbox_depth: 0,
-                };
-                let stats = RoundStats {
-                    round,
-                    privileged,
-                    evaluated,
-                    moves_per_rule: round_moves.take().unwrap_or_default(),
-                    duration_micros,
-                    beacon: None,
-                    runtime: None,
-                    profile: Some(RoundProfile { shards: vec![lane] }),
-                };
                 obs.on_round_end(&stats, &states);
             }
+        };
+        if O::ENABLED {
+            obs.on_finish(&outcome, &states);
+        }
+        Run {
+            final_states: states,
+            rounds: round,
+            moves_per_rule,
+            outcome,
+            trace,
         }
     }
 
@@ -519,7 +359,7 @@ impl<S: Clone, F: FnMut(usize, &[(Node, Move<S>)], &[S])> Observer<S> for Closur
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::Move;
+    use crate::protocol::View;
     use crate::testutil::MaxProto;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

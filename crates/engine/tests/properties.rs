@@ -7,7 +7,6 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use selfstab_engine::central::{CentralExecutor, Scheduler};
 use selfstab_engine::distributed::{DistributedExecutor, SubsetPolicy};
-use selfstab_engine::par::ParSyncExecutor;
 use selfstab_engine::protocol::{InitialState, Move, Protocol, View};
 use selfstab_engine::sync::SyncExecutor;
 use selfstab_graph::{generators, Graph, Node};
@@ -54,18 +53,6 @@ fn arb_connected(max_n: usize) -> impl Strategy<Value = Graph> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Serial and parallel synchronous executors are bit-identical.
-    #[test]
-    fn par_equals_serial(g in arb_connected(30), seed in any::<u64>()) {
-        let serial = SyncExecutor::new(&g, &MaxProto).run(InitialState::Random { seed }, 200);
-        let par = ParSyncExecutor::new(&g, &MaxProto)
-            .with_threads(3)
-            .run(InitialState::Random { seed }, 200);
-        prop_assert_eq!(serial.final_states, par.final_states);
-        prop_assert_eq!(serial.rounds, par.rounds);
-        prop_assert_eq!(serial.moves_per_rule, par.moves_per_rule);
-    }
 
     /// The synchronous daemon equals the distributed daemon with the All
     /// policy, and both end legitimate.

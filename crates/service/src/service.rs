@@ -13,16 +13,20 @@
 //! [`OverlayService`] is deliberately environment-free: it takes a
 //! [`Clock`] per call and fires [`Observer`] hooks at an absolute round
 //! clock, so the same code runs under the deterministic sim harness
-//! (proptests, CI) and under the Unix-socket daemon.
+//! (proptests, CI) and under the Unix-socket daemon. Each serial drain
+//! round is one step of the engine's round kernel, so observed rounds carry
+//! the same phase spans as every other in-process executor (timed only when
+//! observed; the clock is read only for telemetry).
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use selfstab_analysis::Histogram;
 use selfstab_core::partition::Partition;
-use selfstab_engine::active::{ActiveSet, Schedule};
-use selfstab_engine::obs::{Observer, RoundStats};
-use selfstab_engine::protocol::{InitialState, View};
+use selfstab_engine::active::Schedule;
+use selfstab_engine::kernel::Kernel;
+use selfstab_engine::obs::Observer;
+use selfstab_engine::protocol::InitialState;
 use selfstab_graph::Graph;
 use selfstab_graph::Node;
 use selfstab_json::{Json, ToJson};
@@ -119,8 +123,9 @@ pub struct OverlayService<'a, P: OverlayProtocol> {
     graph: Graph,
     proto: &'a P,
     states: Vec<P::State>,
-    cur: ActiveSet,
-    next: ActiveSet,
+    /// The round step and its worklist: whatever is dirty and not yet
+    /// re-converged (the perturbed region, or a budget-capped carry-over).
+    kernel: Kernel<P::State>,
     converged: bool,
     clock_rounds: usize,
     budget_per_event: usize,
@@ -153,16 +158,13 @@ impl<'a, P: OverlayProtocol> OverlayService<'a, P> {
     /// before serving. `budget_per_event = 0` means the Theorem 1/2
     /// convergence budget of `n + 2` rounds per event.
     pub fn new(graph: Graph, proto: &'a P, init: InitialState<P::State>, budget: usize) -> Self {
-        let n = graph.n();
         let states = init.materialize(&graph, proto);
-        let mut cur = ActiveSet::full(n);
-        cur.seal();
+        let kernel = Kernel::new(Schedule::Active, graph.n(), proto.rule_names().len());
         OverlayService {
             graph,
             proto,
             states,
-            cur,
-            next: ActiveSet::empty(n),
+            kernel,
             converged: false,
             clock_rounds: 0,
             budget_per_event: budget,
@@ -304,13 +306,8 @@ impl<'a, P: OverlayProtocol> OverlayService<'a, P> {
 
     /// Run the configured backend until fixpoint or `budget` rounds, from
     /// whatever is currently dirty. Returns `(rounds, moves)`.
-    fn converge<O: Observer<P::State>>(
-        &mut self,
-        budget: usize,
-        clock: &dyn Clock,
-        obs: &mut O,
-    ) -> (usize, u64) {
-        if self.cur.is_empty() {
+    fn converge<O: Observer<P::State>>(&mut self, budget: usize, obs: &mut O) -> (usize, u64) {
+        if self.kernel.worklist().is_empty() {
             self.converged = true;
             return (0, 0);
         }
@@ -334,7 +331,7 @@ impl<'a, P: OverlayProtocol> OverlayService<'a, P> {
                 }
             }
         }
-        self.converge_serial(budget, clock, obs)
+        self.converge_serial(budget, obs)
     }
 
     /// One sharded convergence wave over the current dirty set, carrying
@@ -356,7 +353,7 @@ impl<'a, P: OverlayProtocol> OverlayService<'a, P> {
             partition,
             Schedule::Active,
             channel_cap,
-            Some(self.cur.nodes()),
+            Some(self.kernel.worklist().nodes()),
             None,
             self.states.clone(),
             budget,
@@ -369,12 +366,8 @@ impl<'a, P: OverlayProtocol> OverlayService<'a, P> {
         }
         self.states = wave.states;
         self.clock_rounds += wave.rounds;
-        self.cur.clear();
-        for &v in &wave.frontier {
-            self.cur.insert(v);
-        }
-        self.cur.seal();
-        self.converged = self.cur.is_empty();
+        self.kernel.replace_worklist(&wave.frontier);
+        self.converged = self.kernel.worklist().is_empty();
         Ok((wave.rounds, moves_total))
     }
 
@@ -401,73 +394,41 @@ impl<'a, P: OverlayProtocol> OverlayService<'a, P> {
         }
     }
 
-    /// The in-place active-set step loop (the serial backend).
+    /// The serial backend: [`Kernel`] rounds over the dirty worklist until
+    /// it drains or the budget runs out (the leftover frontier then carries
+    /// over to the next event).
     fn converge_serial<O: Observer<P::State>>(
         &mut self,
         budget: usize,
-        clock: &dyn Clock,
         obs: &mut O,
     ) -> (usize, u64) {
         let mut rounds = 0usize;
         let mut moves_total = 0u64;
-        let mut moves: Vec<(Node, selfstab_engine::protocol::Move<P::State>)> = Vec::new();
-        while rounds < budget && !self.cur.is_empty() {
-            // Clock reads are observation, and observation must be free
-            // when disabled: `started` only ever feeds `duration_micros`
-            // in the observed branch below, so the unobserved path takes
-            // no clock at all (pinned by the `telemetry` equivalence
-            // tests — a counting clock reads zero here).
-            let started = if O::ENABLED { clock.now_micros() } else { 0 };
-            let evaluated = self.cur.len();
-            moves.clear();
-            for &v in self.cur.nodes() {
-                let view = View::new(v, self.graph.neighbors(v), &self.states);
-                if let Some(mv) = self.proto.step(view) {
-                    moves.push((v, mv));
-                }
-            }
-            if moves.is_empty() {
-                self.cur.clear();
+        while rounds < budget && !self.kernel.worklist().is_empty() {
+            let privileged =
+                self.kernel
+                    .evaluate(&self.graph, self.proto, &self.states, None, O::ENABLED);
+            if privileged == 0 {
                 break;
             }
-            let round = self.clock_rounds + 1;
-            if O::ENABLED {
-                obs.on_round_start(round, &self.states);
-            }
-            let mut per_rule = vec![0u64; self.proto.rule_names().len()];
-            self.next.clear();
-            for (v, mv) in &moves {
-                self.states[v.index()] = mv.next.clone();
-                per_rule[mv.rule] += 1;
-                self.next.insert_closed(&self.graph, *v);
-                if O::ENABLED {
-                    obs.on_move(*v, mv.rule, &mv.next);
-                }
-            }
-            self.next.seal();
-            self.cur.clear();
-            std::mem::swap(&mut self.cur, &mut self.next);
-            for (slot, c) in self.moves_per_rule.iter_mut().zip(&per_rule) {
+            self.clock_rounds += 1;
+            let stats = self.kernel.apply(
+                self.clock_rounds,
+                &self.graph,
+                &mut self.states,
+                Vec::new(),
+                obs,
+            );
+            for (slot, c) in self.moves_per_rule.iter_mut().zip(&stats.moves_per_rule) {
                 *slot += c;
             }
-            moves_total += moves.len() as u64;
-            self.clock_rounds = round;
+            moves_total += privileged as u64;
             rounds += 1;
             if O::ENABLED {
-                let stats = RoundStats {
-                    round,
-                    privileged: moves.len(),
-                    evaluated,
-                    moves_per_rule: per_rule,
-                    duration_micros: clock.now_micros().saturating_sub(started),
-                    beacon: None,
-                    runtime: None,
-                    profile: None,
-                };
                 obs.on_round_end(&stats, &self.states);
             }
         }
-        self.converged = self.cur.is_empty();
+        self.converged = self.kernel.worklist().is_empty();
         (rounds, moves_total)
     }
 
@@ -476,12 +437,12 @@ impl<'a, P: OverlayProtocol> OverlayService<'a, P> {
     /// as event 0. A restored legitimate snapshot converges in 0 rounds.
     pub fn stabilize<O: Observer<P::State>>(
         &mut self,
-        clock: &dyn Clock,
+        _clock: &dyn Clock,
         obs: &mut O,
     ) -> &EventRecord {
-        let perturbed = self.cur.len();
+        let perturbed = self.kernel.worklist().len();
         let budget = self.graph.n() + 2;
-        let (rounds, moves) = self.converge(budget, clock, obs);
+        let (rounds, moves) = self.converge(budget, obs);
         let record = EventRecord {
             seq: 0,
             kind: "bootstrap",
@@ -599,19 +560,16 @@ impl<'a, P: OverlayProtocol> OverlayService<'a, P> {
         let mut endpoints: Vec<Node> = touched.iter().flat_map(|&(x, y)| [x, y]).collect();
         endpoints.sort_unstable();
         endpoints.dedup();
-        for &x in &endpoints {
-            self.cur.insert_closed(&self.graph, x);
-        }
-        self.cur.seal();
-        self.converged = self.cur.is_empty();
-        let perturbed = self.cur.len();
+        self.kernel.seed(&self.graph, endpoints);
+        self.converged = self.kernel.worklist().is_empty();
+        let perturbed = self.kernel.worklist().len();
         self.seq += 1;
         self.events_applied += 1;
         // The only clock reads on the drain path happen here, and only
         // when a telemetry registry is attached — unobserved drains stay
         // clock-free (see the `telemetry` equivalence tests).
         let drain_started = self.telemetry.as_ref().map(|_| clock.now_micros());
-        let (rounds, moves) = self.converge(self.budget(), clock, obs);
+        let (rounds, moves) = self.converge(self.budget(), obs);
         let record = EventRecord {
             seq: self.seq,
             kind: mutation.kind(),
@@ -642,9 +600,9 @@ impl<'a, P: OverlayProtocol> OverlayService<'a, P> {
     /// the rounds spent (0 when already converged). The daemon calls this
     /// on shutdown so the snapshot it writes is legitimate even when a
     /// tight per-event budget left work pending.
-    pub fn settle<O: Observer<P::State>>(&mut self, clock: &dyn Clock, obs: &mut O) -> usize {
+    pub fn settle<O: Observer<P::State>>(&mut self, _clock: &dyn Clock, obs: &mut O) -> usize {
         let budget = self.graph.n() + 2;
-        self.converge(budget, clock, obs).0
+        self.converge(budget, obs).0
     }
 
     /// Status facts for the `status` query and shutdown summaries.
@@ -810,6 +768,31 @@ mod tests {
         s.settle(&clock, &mut ());
         assert!(s.is_converged());
         assert!(s.proto().is_legitimate(s.graph(), s.states()));
+    }
+
+    #[test]
+    fn observed_drain_rounds_carry_the_serial_lane_profile() {
+        use selfstab_engine::obs::{MetricsCollector, Phase};
+        let (g, smm) = svc(10);
+        let clock = SimClock::new();
+        let mut s = OverlayService::new(g, &smm, InitialState::Default, 0);
+        s.stabilize(&clock, &mut ());
+        s.enqueue(Mutation::EdgeDown { a: 4, b: 5 });
+        s.enqueue(Mutation::EdgeUp { a: 0, b: 9 });
+        let mut m = MetricsCollector::new();
+        let rounds: usize = s
+            .drain(&clock, &mut m)
+            .into_iter()
+            .map(|r| r.unwrap().recovery_rounds)
+            .sum();
+        assert!(rounds > 0, "the churn must cost repair rounds");
+        assert_eq!(m.rounds().len(), rounds);
+        for r in m.rounds() {
+            let lanes = &r.profile.as_ref().expect("every round is profiled").shards;
+            assert_eq!(lanes.len(), 1, "round {}", r.round);
+            assert_eq!(lanes[0].spans.count(Phase::GuardEval), 1);
+            assert_eq!(lanes[0].spans.count(Phase::Apply), 1);
+        }
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! protocol (SMM, SMI, Hsu–Huang), the engine must produce the same
 //! execution — rounds, outcome, per-rule move counts, per-round states, and
 //! final states — under `Schedule::Full` and `Schedule::Active`, on the
-//! serial executor, the chunked-parallel executor, and the sharded mailbox
-//! runtime at every shard count. Soundness argument: the round-(r+1)
+//! serial executor and the sharded mailbox runtime at every shard count. Soundness argument: the round-(r+1)
 //! worklist is `⋃ N[u]` over round-r movers, and a node privileged in round
 //! r+1 either moved in round r (it is in its own closed neighborhood) or
 //! had its view changed by a moving neighbor — so pruning never skips a
@@ -28,7 +27,6 @@ use selfstab::engine::faults::CrashAt;
 use selfstab::engine::obs::{
     ChromeTraceWriter, JsonlEventLog, MetricsCollector, Observer, RoundStats,
 };
-use selfstab::engine::par::ParSyncExecutor;
 use selfstab::engine::protocol::{InitialState, Protocol, WireState};
 use selfstab::engine::sync::{Run, SyncExecutor};
 use selfstab::graph::{generators, Graph, Ids};
@@ -81,8 +79,8 @@ fn assert_same_run<S: Clone + PartialEq + std::fmt::Debug>(
 }
 
 /// The full cross-product for one protocol instance on one graph: serial
-/// full is the reference; serial active, parallel full/active, and the
-/// runtime under both schedules at every shard count must reproduce it.
+/// full is the reference; serial active and the runtime under both
+/// schedules at every shard count must reproduce it.
 fn check<P: Protocol>(g: &Graph, proto: &P, seed: u64) -> TestCaseResult
 where
     P::State: WireState,
@@ -112,13 +110,6 @@ where
     {
         prop_assert_eq!(f, g.n(), "full sweep evaluates everyone (round {})", r + 1);
         prop_assert!(a <= f, "active can only shrink work (round {})", r + 1);
-    }
-
-    for schedule in [Schedule::Full, Schedule::Active] {
-        let par = ParSyncExecutor::new(g, proto)
-            .with_schedule(schedule)
-            .run(init.clone(), max_rounds);
-        assert_same_run(&format!("parallel {schedule}"), &reference, &par)?;
     }
 
     for shards in SHARD_COUNTS {
@@ -223,39 +214,6 @@ fn serial_crash_at_matches_runtime_single_shard_restart() {
                 serial_trace.states, rt_trace.states,
                 "per-round states: {label}"
             );
-        }
-    }
-}
-
-/// Satellite (crash-at): the chunked-parallel executor's crash must replay
-/// the serial one exactly, including partial crashes where victim selection
-/// exercises the Fisher–Yates stream.
-#[test]
-fn parallel_crash_at_matches_serial() {
-    let g = generators::erdos_renyi_connected(30, 0.2, &mut StdRng::seed_from_u64(2206));
-    let smm = Smm::paper(Ids::identity(g.n()));
-    let max_rounds = 4 * g.n() + 8;
-    let init = InitialState::Random { seed: 9 };
-    for frac in [0.3, 1.0] {
-        for schedule in [Schedule::Full, Schedule::Active] {
-            let crash = CrashAt {
-                round: 3,
-                frac,
-                seed: 99,
-            };
-            let serial = SyncExecutor::new(&g, &smm)
-                .with_schedule(schedule)
-                .with_crash(crash.clone())
-                .run(init.clone(), max_rounds);
-            let par = ParSyncExecutor::new(&g, &smm)
-                .with_schedule(schedule)
-                .with_crash(crash)
-                .run(init.clone(), max_rounds);
-            let label = format!("crash frac={frac} {schedule}");
-            assert_eq!(serial.rounds, par.rounds, "rounds: {label}");
-            assert_eq!(serial.outcome, par.outcome, "outcome: {label}");
-            assert_eq!(serial.moves_per_rule, par.moves_per_rule, "moves: {label}");
-            assert_eq!(serial.final_states, par.final_states, "states: {label}");
         }
     }
 }
