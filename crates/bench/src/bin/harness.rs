@@ -15,8 +15,7 @@ use selfstab_bench::experiments::{
     e01_smm_rounds, e02_smi_rounds, e03_transitions, e04_growth, e05_counterexample, e06_baseline,
     e07_faults, e08_adhoc, e09_mobility, e10_exhaustive, e11_quality, e13_coloring, e14_anonymous,
     e15_bfs_tree, e16_contention, e17_observability, e18_runtime_scaling, e19_active_schedule,
-    e20_chaos, e21_shard_skew, e22_service, e23_sharded_service, e24_byzantine, e25_telemetry,
-    Report,
+    e20_chaos, e21_shard_skew, e22_service, e24_byzantine, e25_telemetry, Report,
 };
 use std::io::Write;
 
@@ -122,11 +121,6 @@ fn run_experiment(id: &str, cfg: &Config) -> Option<Report> {
             if q { 100 } else { 1_000 },
             if q { 50 } else { 200 },
         ),
-        "e23" => e23_sharded_service::run(
-            if q { 2_000 } else { 100_000 },
-            &[2, 4, 8],
-            if q { 1 } else { 2 },
-        ),
         "e24" => e24_byzantine::run(
             if q { &[400] } else { &[10_000, 100_000] },
             if q { &[1, 4] } else { &[1, 4, 16] },
@@ -151,20 +145,13 @@ fn main() {
         .map(|s| s.to_lowercase())
         .collect();
     if ids.is_empty() || ids.iter().any(|a| a == "all") {
-        ids = (1..=11).map(|i| format!("e{i}")).collect();
-        ids.push("e13".to_string());
-        ids.push("e14".to_string());
-        ids.push("e15".to_string());
-        ids.push("e16".to_string());
-        ids.push("e17".to_string());
-        ids.push("e18".to_string());
-        ids.push("e19".to_string());
-        ids.push("e20".to_string());
-        ids.push("e21".to_string());
-        ids.push("e22".to_string());
-        ids.push("e23".to_string());
-        ids.push("e24".to_string());
-        ids.push("e25".to_string());
+        // E12 and E23 measured paths that were removed; their ids are
+        // rejected like any unknown one.
+        ids = [1..=11, 13..=22, 24..=25]
+            .into_iter()
+            .flatten()
+            .map(|i| format!("e{i}"))
+            .collect();
     }
     let cfg = Config { quick };
     let stdout = std::io::stdout();
@@ -189,7 +176,9 @@ fn main() {
                 .unwrap();
             }
             None => {
-                eprintln!("unknown experiment id: {id} (expected e1..e25 or all)");
+                eprintln!(
+                    "unknown experiment id: {id} (expected e1..e25 except e12 and e23, or all)"
+                );
                 std::process::exit(2);
             }
         }

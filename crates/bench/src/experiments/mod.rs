@@ -21,7 +21,6 @@ pub mod e19_active_schedule;
 pub mod e20_chaos;
 pub mod e21_shard_skew;
 pub mod e22_service;
-pub mod e23_sharded_service;
 pub mod e24_byzantine;
 pub mod e25_telemetry;
 

@@ -61,7 +61,8 @@ impl Args {
         self.get(key) == Some("true")
     }
 
-    /// Keys the caller never consumed (for strictness checks, unused here).
+    /// Every flag given, in sorted order (for strictness checks against the
+    /// flags a command reads).
     pub fn keys(&self) -> impl Iterator<Item = &str> {
         self.flags.keys().map(String::as_str)
     }

@@ -108,7 +108,6 @@ USAGE:
                   (--script <file> | --socket <path>)
                   [--ids identity|reversed|random] [--init default|random]
                   [--seed <u64>] [--budget <rounds>] [--metrics]
-                  [--shards <K>] [--channel-cap <frames>]
                   [--snapshot-out <file>] [--snapshot-every <N|Ns|Nms>]
                   [--resume <snapshot.json>] [--profile-out <file>]
                   [--telemetry-addr <host:port>]
@@ -137,12 +136,7 @@ USAGE:
                   tmp+rename, so a crash never truncates the last good
                   snapshot); --resume boots from such a document instead
                   of generating a topology — a legitimate snapshot
-                  re-stabilizes in 0 rounds. --shards K runs
-                  each event's re-convergence drain through the sharded
-                  mailbox runtime (K worker threads, state- and
-                  round-identical to the serial drain; --channel-cap bounds
-                  each cross-shard channel) — pays off on large perturbed
-                  regions, e.g. hub departures on dense graphs.
+                  re-stabilizes in 0 rounds. Any other flag is rejected.
   selfstab client (--socket <path> (--script <file> | --send <line>)
                   | --scrape <host:port>)
                   scripted client for a --socket daemon; prints one reply

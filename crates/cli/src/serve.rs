@@ -10,7 +10,7 @@
 //! run the *same* `selfstab_service::serve` loop body.
 
 use crate::args::Args;
-use crate::commands::{build_ids, build_topology, parse_shards};
+use crate::commands::{build_ids, build_topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selfstab_core::{Smi, Smm};
@@ -20,15 +20,37 @@ use selfstab_graph::Graph;
 use selfstab_json::{Json, ToJson};
 use selfstab_service::telemetry::TRACK_FORMAT;
 use selfstab_service::{
-    serve_with as serve_loop, Backend, OverlayProtocol, OverlayService, ScrapeServer, ServeHooks,
+    serve_with as serve_loop, OverlayProtocol, OverlayService, ScrapeServer, ServeHooks,
     ServeSummary, ShutdownFlag, SimClock, SimTransport, Snapshot, SnapshotCadence,
     SnapshotScheduler, Telemetry,
 };
 use std::sync::Arc;
 
+/// Every flag `serve` reads; any other is rejected rather than ignored.
+const SERVE_FLAGS: &[&str] = &[
+    "budget",
+    "ids",
+    "init",
+    "metrics",
+    "n",
+    "profile-out",
+    "protocol",
+    "resume",
+    "script",
+    "seed",
+    "snapshot-every",
+    "snapshot-out",
+    "socket",
+    "telemetry-addr",
+    "topology",
+];
+
 /// `selfstab serve`: run the resident service against a scripted sim
 /// session or a Unix-socket listener.
 pub fn serve(args: &Args) -> Result<String, String> {
+    if let Some(flag) = args.keys().find(|k| !SERVE_FLAGS.contains(k)) {
+        return Err(format!("unknown flag --{flag} for serve"));
+    }
     let protocol = args.required("protocol")?;
     let n: usize = args.parse_or("n", 16)?;
     let seed: u64 = args.parse_or("seed", 0)?;
@@ -98,17 +120,6 @@ where
     };
     let (n, m) = (g.n(), g.m());
 
-    let backend = match parse_shards(args)? {
-        Some((shards, cap)) => Backend::Sharded {
-            shards,
-            channel_cap: Some(cap),
-        },
-        None => Backend::Serial,
-    };
-    let drain = match backend {
-        Backend::Serial => "serial".to_string(),
-        Backend::Sharded { shards, .. } => format!("sharded({shards})"),
-    };
     let mut jsonl = args.get("profile-out").map(|_| JsonlEventLog::new());
 
     // The registry exists whenever anything consumes it: a scrape listener
@@ -141,7 +152,7 @@ where
         None => None,
     };
 
-    let mut svc = OverlayService::new(g, proto, init, budget).with_backend(backend);
+    let mut svc = OverlayService::new(g, proto, init, budget);
     if let Some(registry) = &telemetry {
         svc = svc.with_telemetry(registry.clone());
     }
@@ -163,7 +174,7 @@ where
             let clock = SimClock::new();
             let boot = svc.stabilize(&clock, &mut jsonl.as_mut());
             report.push(format!(
-                "service: protocol={} topology={topology} n={n} m={m} backend=sim drain={drain}",
+                "service: protocol={} topology={topology} n={n} m={m} backend=sim",
                 proto.name()
             ));
             report.push(format!(
@@ -194,7 +205,6 @@ where
             &mut jsonl,
             &mut report,
             &topology,
-            &drain,
             ServeHooks {
                 telemetry: telemetry.clone(),
                 snapshots: scheduler.as_mut(),
@@ -285,7 +295,6 @@ where
 }
 
 #[cfg(unix)]
-#[allow(clippy::too_many_arguments)]
 fn serve_socket<P>(
     svc: &mut OverlayService<'_, P>,
     proto: &P,
@@ -293,7 +302,6 @@ fn serve_socket<P>(
     jsonl: &mut Option<JsonlEventLog>,
     report: &mut Vec<String>,
     topology: &str,
-    drain: &str,
     hooks: ServeHooks<'_>,
 ) -> Result<ServeSummary, String>
 where
@@ -307,7 +315,7 @@ where
     let boot = svc.stabilize(&clock, &mut jsonl.as_mut());
     let (boot_rounds, boot_moves) = (boot.recovery_rounds, boot.moves);
     report.push(format!(
-        "service: protocol={} topology={topology} n={n} m={m} backend=uds socket={path} drain={drain}",
+        "service: protocol={} topology={topology} n={n} m={m} backend=uds socket={path}",
         proto.name(),
     ));
     report.push(format!(
@@ -332,7 +340,6 @@ where
 }
 
 #[cfg(not(unix))]
-#[allow(clippy::too_many_arguments)]
 fn serve_socket<P>(
     _svc: &mut OverlayService<'_, P>,
     _proto: &P,
@@ -340,7 +347,6 @@ fn serve_socket<P>(
     _jsonl: &mut Option<JsonlEventLog>,
     _report: &mut Vec<String>,
     _topology: &str,
-    _drain: &str,
     _hooks: ServeHooks<'_>,
 ) -> Result<ServeSummary, String>
 where
@@ -437,5 +443,39 @@ pub fn client(args: &Args) -> Result<String, String> {
     {
         let _ = args;
         Err("client requires a Unix platform".into())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn serve_rejects_flags_it_does_not_read() {
+        let script = std::env::temp_dir().join(format!(
+            "selfstab-serve-unknown-flag-{}.jsonl",
+            std::process::id()
+        ));
+        std::fs::write(&script, "{\"op\":\"shutdown\"}\n").unwrap();
+        let argv: Vec<String> = [
+            "serve",
+            "--protocol",
+            "smm",
+            "--topology",
+            "cycle",
+            "--n",
+            "6",
+            "--shards",
+            "4",
+            "--script",
+            script.to_str().unwrap(),
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        let mut out = Vec::new();
+        let code = crate::main_with(&argv, &mut out);
+        let _ = std::fs::remove_file(&script);
+        let out = String::from_utf8(out).unwrap();
+        assert_eq!(code, 2, "{out}");
+        assert!(out.contains("unknown flag --shards for serve"), "{out}");
     }
 }

@@ -119,16 +119,6 @@ impl<S: Clone + PartialEq> Kernel<S> {
         }
     }
 
-    /// Replace the current worklist with exactly `nodes` (a frontier
-    /// computed elsewhere, e.g. by a sharded drain).
-    pub fn replace_worklist(&mut self, nodes: &[Node]) {
-        self.cur.clear();
-        for &v in nodes {
-            self.cur.insert(v);
-        }
-        self.cur.seal();
-    }
-
     /// Add a span the caller measured before evaluation (e.g.
     /// [`Phase::Rehydrate`]) to the next applied round's profile.
     pub(crate) fn record(&mut self, phase: Phase, nanos: u64) {

@@ -193,22 +193,6 @@ where
     channel_cap: usize,
     schedule: Schedule,
     chaos: Option<FaultPlan>,
-    active_seed: Option<Vec<Node>>,
-}
-
-/// A [`Run`] plus the dirty frontier left behind when the round limit cut
-/// the execution short — what a resident caller needs to carry recovery
-/// work across waves (see [`RuntimeExecutor::run_resident`]).
-pub struct ResidentRun<S> {
-    /// The run result, identical to [`RuntimeExecutor::run_observed`]'s.
-    pub run: Run<S>,
-    /// Nodes whose closed neighborhoods were dirtied by the last applied
-    /// round but never re-evaluated: empty when the run stabilized; under
-    /// [`Schedule::Active`] exactly the serial active-set worklist at the
-    /// cut (sorted, deduplicated); under [`Schedule::Full`] conservatively
-    /// every node. Re-seeding the next wave with this set resumes the
-    /// execution as if the limit had never fired.
-    pub frontier: Vec<Node>,
 }
 
 /// Everything a worker thread needs to run its shard.
@@ -265,9 +249,6 @@ struct WorkerOut<S> {
     rounds: usize,
     outcome: Outcome,
     journal: Vec<RoundJournal<S>>,
-    /// Owned share of the dirty frontier at a `RoundLimit` exit (empty on
-    /// stabilization).
-    frontier: Vec<Node>,
 }
 
 impl<'a, P: Protocol> RuntimeExecutor<'a, P>
@@ -285,9 +266,11 @@ where
     }
 
     /// New executor over a precomputed shard assignment, skipping the
-    /// O(n+m) coarsening run entirely — the resident paths reuse one
-    /// partition across many waves (see [`RuntimeExecutor::with_partition`]
-    /// for why that is sound under edge churn).
+    /// O(n+m) coarsening run entirely. The node→shard map is a function of
+    /// node identity only, so a partition stays valid across edge churn on
+    /// a fixed node set — resident sessions reuse one across many waves
+    /// (send/receive plans are still re-derived from the current graph
+    /// each run).
     ///
     /// # Panics
     /// Panics if the partition was built for a different node count.
@@ -304,7 +287,6 @@ where
             channel_cap: DEFAULT_CHANNEL_CAP,
             schedule: Schedule::default(),
             chaos: None,
-            active_seed: None,
         }
     }
 
@@ -323,41 +305,6 @@ where
     /// identical; only evaluations and wire traffic differ.
     pub fn with_schedule(mut self, schedule: Schedule) -> Self {
         self.schedule = schedule;
-        self
-    }
-
-    /// Start the [`Schedule::Active`] worklist from `seed` instead of the
-    /// full node set.
-    ///
-    /// Soundness contract (the engine's active-schedule invariant): `seed`
-    /// must contain every node that could be privileged in the initial
-    /// configuration — e.g. the perturbed closed neighborhoods of a
-    /// previously stabilized state, or the frontier a prior round-limited
-    /// run reported (see [`ResidentRun::frontier`]). Nodes outside the
-    /// seed's closure are never evaluated, so an unsound seed can yield a
-    /// false `Stabilized`. Ignored under [`Schedule::Full`], which always
-    /// sweeps every node.
-    pub fn with_active_seed(mut self, seed: Vec<Node>) -> Self {
-        self.active_seed = Some(seed);
-        self
-    }
-
-    /// Reuse a precomputed shard assignment instead of re-running the
-    /// coarsening partitioner. The node→shard map is a function of node
-    /// identity only, so a partition stays valid across edge churn on a
-    /// fixed node set — resident sessions exploit this to skip the O(n+m)
-    /// re-partition on every mutation epoch (send/receive plans are still
-    /// re-derived from the current graph each run).
-    ///
-    /// # Panics
-    /// Panics if the partition was built for a different node count.
-    pub fn with_partition(mut self, partition: Partition) -> Self {
-        assert_eq!(
-            partition.shard_of.len(),
-            self.graph.n(),
-            "partition covers a different node set"
-        );
-        self.partition = partition;
         self
     }
 
@@ -463,19 +410,6 @@ where
         max_rounds: usize,
         obs: &mut O,
     ) -> Result<Run<P::State>, RuntimeError> {
-        Ok(self.run_resident(init, max_rounds, obs)?.run)
-    }
-
-    /// Like [`RuntimeExecutor::run_observed`], but also report the dirty
-    /// frontier a `RoundLimit` exit left behind, so a resident caller can
-    /// seed the next wave (via [`RuntimeExecutor::with_active_seed`]) and
-    /// resume exactly where the budget cut the execution.
-    pub fn run_resident<O: Observer<P::State>>(
-        &self,
-        init: InitialState<P::State>,
-        max_rounds: usize,
-        obs: &mut O,
-    ) -> Result<ResidentRun<P::State>, RuntimeError> {
         // Beacon round tags are u32; rounds never exceed max_rounds, so
         // checking the limit once makes every later cast exact.
         if u32::try_from(max_rounds).is_err() {
@@ -522,7 +456,6 @@ where
         let journal_enabled = O::ENABLED;
         let schedule = self.schedule;
         let fault = self.chaos.as_ref();
-        let seed = self.active_seed.as_deref();
 
         let results: Vec<Result<WorkerOut<P::State>, RuntimeError>> = std::thread::scope(|scope| {
             let handles: Vec<_> = plans
@@ -547,7 +480,6 @@ where
                                 accum,
                                 max_rounds,
                                 schedule,
-                                seed,
                                 journal_enabled,
                                 fault,
                             },
@@ -611,23 +543,12 @@ where
             replay_journals(obs, &initial, &final_states, &outcome, rounds, &outs);
         }
 
-        // Owned frontiers are disjoint across shards; concatenate and sort
-        // to recover the serial worklist's canonical node order.
-        let mut frontier: Vec<Node> = outs
-            .iter()
-            .flat_map(|o| o.frontier.iter().copied())
-            .collect();
-        frontier.sort_unstable();
-
-        Ok(ResidentRun {
-            run: Run {
-                final_states,
-                rounds,
-                moves_per_rule,
-                outcome,
-                trace: None,
-            },
-            frontier,
+        Ok(Run {
+            final_states,
+            rounds,
+            moves_per_rule,
+            outcome,
+            trace: None,
         })
     }
 }
@@ -644,7 +565,6 @@ struct ShardCtx<'scope, P: Protocol> {
     accum: &'scope [AtomicU64; 2],
     max_rounds: usize,
     schedule: Schedule,
-    seed: Option<&'scope [Node]>,
     journal_enabled: bool,
     fault: Option<&'scope FaultPlan>,
 }
@@ -729,7 +649,6 @@ where
         accum,
         max_rounds,
         schedule,
-        seed,
         journal_enabled,
         fault,
     } = ctx;
@@ -770,22 +689,10 @@ where
     // driving delta-beacon suppression. The sets span all n nodes: marking
     // a ghost is how a received beacon dirties its owned neighbors, and
     // evaluation filters through `owned_mask`. Every worker starts from
-    // the same seed (full set by default), so the union of the per-worker
-    // worklists equals the serial worklist in every round.
-    let mut active = (schedule == Schedule::Active).then(|| {
-        let cur = match seed {
-            Some(seed) => {
-                let mut cur = ActiveSet::empty(n);
-                for &v in seed {
-                    cur.insert(v);
-                }
-                cur.seal();
-                cur
-            }
-            None => ActiveSet::full(n),
-        };
-        (cur, ActiveSet::empty(n), vec![false; n])
-    });
+    // the full set, so the union of the per-worker worklists equals the
+    // serial worklist in every round.
+    let mut active = (schedule == Schedule::Active)
+        .then(|| (ActiveSet::full(n), ActiveSet::empty(n), vec![false; n]));
     let mut moved_list: Vec<Node> = Vec::new();
 
     let mut moves_per_rule = vec![0u64; proto.rule_names().len()];
@@ -1072,26 +979,6 @@ where
         }
     };
 
-    // On a RoundLimit cut, `cur` is the worklist whose (unapplied) moves
-    // the limit vetoed — exactly what the next wave must re-evaluate. Only
-    // owned entries are reported: ghost markings reappear on their owning
-    // shard, so the union over workers is the serial worklist with no node
-    // lost or double-counted. The full schedule has no worklist; report
-    // every owned node as a conservative frontier.
-    let frontier: Vec<Node> = if outcome == Outcome::RoundLimit {
-        match active.as_ref() {
-            Some((cur, _, _)) => cur
-                .nodes()
-                .iter()
-                .copied()
-                .filter(|v| owned_mask[v.index()])
-                .collect(),
-            None => plan.owned.clone(),
-        }
-    } else {
-        Vec::new()
-    };
-
     Ok(WorkerOut {
         shard,
         owned_final: plan
@@ -1103,7 +990,6 @@ where
         rounds: round,
         outcome,
         journal,
-        frontier,
     })
 }
 

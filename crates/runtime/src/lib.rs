@@ -32,8 +32,6 @@ pub mod wire;
 
 pub use barrier::{PoisonBarrier, Poisoned};
 pub use chaos::{run_churned_sharded, CrashSpec, FaultPlan, FrameFate};
-pub use executor::{
-    assert_matches_sync, ResidentRun, RuntimeError, RuntimeExecutor, DEFAULT_CHANNEL_CAP,
-};
-pub use session::{converge_wave, ResidentSession, Wave};
+pub use executor::{assert_matches_sync, RuntimeError, RuntimeExecutor, DEFAULT_CHANNEL_CAP};
+pub use session::ResidentSession;
 pub use wire::{frame_extent, Beacon, HEADER_LEN, WIRE_VERSION};

@@ -32,78 +32,6 @@ use selfstab_graph::{Graph, Node};
 use crate::chaos::FaultPlan;
 use crate::executor::{RuntimeError, RuntimeExecutor};
 
-/// The result of one convergence wave run by [`converge_wave`]: the
-/// updated state vector plus everything a resident caller needs to keep
-/// its own bookkeeping (clock, move totals, carried frontier) current.
-pub struct Wave<S> {
-    /// How the wave ended ([`Outcome::Stabilized`] or
-    /// [`Outcome::RoundLimit`]; the runtime has no cycle detection).
-    pub outcome: Outcome,
-    /// Applied rounds this wave.
-    pub rounds: usize,
-    /// Moves per rule this wave.
-    pub moves_per_rule: Vec<u64>,
-    /// The post-wave state vector.
-    pub states: Vec<S>,
-    /// Dirty frontier left by a `RoundLimit` cut (empty on
-    /// stabilization); pass it as the next wave's `seed` to resume.
-    pub frontier: Vec<Node>,
-}
-
-/// Run one sharded convergence wave: at most `budget` rounds over
-/// `graph` from `states`, partitioned by `partition`, with observer
-/// hooks fired on the absolute round clock (`clock_base + wave round`;
-/// the per-wave `on_finish` is swallowed — fire the real one when the
-/// resident execution ends). `seed`, when given under
-/// [`Schedule::Active`], starts the worklist from those nodes instead of
-/// the full set — see [`RuntimeExecutor::with_active_seed`] for the
-/// soundness contract. The fault plan, if any, is re-anchored at
-/// `clock_base` so its absolute round fields keep meaning.
-///
-/// This is the shared engine under [`ResidentSession::converge`] and the
-/// service crate's sharded drain backend.
-#[allow(clippy::too_many_arguments)]
-pub fn converge_wave<P: Protocol, O: Observer<P::State>>(
-    graph: &Graph,
-    proto: &P,
-    partition: &Partition,
-    schedule: Schedule,
-    channel_cap: Option<usize>,
-    seed: Option<&[Node]>,
-    fault: Option<&FaultPlan>,
-    states: Vec<P::State>,
-    budget: usize,
-    clock_base: usize,
-    obs: &mut O,
-) -> Result<Wave<P::State>, RuntimeError>
-where
-    P::State: WireState,
-{
-    let mut exec =
-        RuntimeExecutor::from_partition(graph, proto, partition.clone()).with_schedule(schedule);
-    if let Some(cap) = channel_cap {
-        exec = exec.with_channel_cap(cap);
-    }
-    if let Some(seed) = seed {
-        exec = exec.with_active_seed(seed.to_vec());
-    }
-    if let Some(f) = fault {
-        exec = exec.with_chaos(f.clone().with_round_offset(clock_base));
-    }
-    let mut wave_obs = OffsetObserver {
-        inner: obs,
-        base: clock_base,
-    };
-    let resident = exec.run_resident(InitialState::Explicit(states), budget, &mut wave_obs)?;
-    Ok(Wave {
-        outcome: resident.run.outcome,
-        rounds: resident.run.rounds,
-        moves_per_rule: resident.run.moves_per_rule,
-        states: resident.run.final_states,
-        frontier: resident.frontier,
-    })
-}
-
 /// Forwards observer hooks with the round index shifted by the absolute
 /// round of the current convergence wave, and swallows per-wave
 /// `on_finish` calls (the driver fires the real one once, at the end).
@@ -229,26 +157,27 @@ where
         fault: Option<&FaultPlan>,
         obs: &mut O,
     ) -> Result<Outcome, RuntimeError> {
+        let mut exec =
+            RuntimeExecutor::from_partition(&self.graph, self.proto, self.partition.clone())
+                .with_schedule(self.schedule);
+        if let Some(cap) = self.channel_cap {
+            exec = exec.with_channel_cap(cap);
+        }
+        if let Some(f) = fault {
+            exec = exec.with_chaos(f.clone().with_round_offset(self.clock));
+        }
+        let mut wave_obs = OffsetObserver {
+            inner: obs,
+            base: self.clock,
+        };
         let states = std::mem::take(&mut self.states);
-        let wave = converge_wave(
-            &self.graph,
-            self.proto,
-            &self.partition,
-            self.schedule,
-            self.channel_cap,
-            None,
-            fault,
-            states,
-            budget,
-            self.clock,
-            obs,
-        )?;
-        for (acc, &m) in self.moves_per_rule.iter_mut().zip(&wave.moves_per_rule) {
+        let run = exec.run_observed(InitialState::Explicit(states), budget, &mut wave_obs)?;
+        for (acc, &m) in self.moves_per_rule.iter_mut().zip(&run.moves_per_rule) {
             *acc += m;
         }
-        self.states = wave.states;
-        self.clock += wave.rounds;
-        Ok(wave.outcome)
+        self.states = run.final_states;
+        self.clock += run.rounds;
+        Ok(run.outcome)
     }
 
     /// Close the session, yielding `(graph, states, moves_per_rule, clock)`.

@@ -6,11 +6,9 @@
 //! [`SimTransport`](crate::transport::SimTransport)) in proptests and CI,
 //! and under ([`RealClock`](crate::env::RealClock) +
 //! [`UdsTransport`](crate::transport::UdsTransport)) behind
-//! `selfstab serve`. Only the environment values change. The same seam
-//! exists below the loop: each event's re-convergence dispatches through
-//! the service's [`Backend`](crate::service::Backend) (serial step loop,
-//! or the sharded runtime behind `serve --shards`), and the loop body is
-//! identical either way.
+//! `selfstab serve`. Only the environment values change; every event's
+//! re-convergence runs the engine's round kernel inside
+//! [`OverlayService`].
 
 use std::sync::Arc;
 

@@ -53,9 +53,9 @@ pub use env::{Clock, RealClock, ShutdownFlag, SimClock};
 pub use overlay::OverlayProtocol;
 pub use proto::{Mutation, QueryKind, Request};
 pub use scrape::{scrape_once, ScrapeServer};
-pub use service::{Backend, EventRecord, OverlayService};
+pub use service::{EventRecord, OverlayService};
 pub use snapshot::{Snapshot, SnapshotCadence, SnapshotScheduler};
-pub use telemetry::{Telemetry, TelemetryObserver};
+pub use telemetry::Telemetry;
 pub use transport::{Polled, SimTransport, Transport};
 
 #[cfg(unix)]

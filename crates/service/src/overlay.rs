@@ -14,9 +14,9 @@ use selfstab_json::{Json, ToJson};
 
 /// A [`Protocol`] that can answer the service's query vocabulary.
 ///
-/// The state must be [`WireState`]-encodable so any overlay protocol can
-/// run under the service's sharded drain backend (beacon frames cross
-/// shard boundaries); both paper protocols already are.
+/// The state must be [`WireState`]-encodable because snapshots
+/// (`selfstab-snapshot/v1`) store each node's state in the wire encoding;
+/// both paper protocols already are.
 pub trait OverlayProtocol: Protocol<State: WireState> {
     /// Short protocol name for status lines (`"smm"`, `"smi"`).
     fn name(&self) -> &'static str;

@@ -169,7 +169,6 @@ mod tests {
                 moves: 1,
                 converged: true,
             },
-            "serial",
             50,
             1000,
             0,

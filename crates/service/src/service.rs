@@ -13,16 +13,16 @@
 //! [`OverlayService`] is deliberately environment-free: it takes a
 //! [`Clock`] per call and fires [`Observer`] hooks at an absolute round
 //! clock, so the same code runs under the deterministic sim harness
-//! (proptests, CI) and under the Unix-socket daemon. Each serial drain
-//! round is one step of the engine's round kernel, so observed rounds carry
-//! the same phase spans as every other in-process executor (timed only when
-//! observed; the clock is read only for telemetry).
+//! (proptests, CI) and under the Unix-socket daemon. Every drain round —
+//! bootstrap, event and `settle` alike — is one step of the engine's round
+//! kernel, so observed rounds carry the same phase spans as every other
+//! in-process executor (timed only when observed; the clock is read only
+//! for telemetry).
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use selfstab_analysis::Histogram;
-use selfstab_core::partition::Partition;
 use selfstab_engine::active::Schedule;
 use selfstab_engine::kernel::Kernel;
 use selfstab_engine::obs::Observer;
@@ -30,51 +30,11 @@ use selfstab_engine::protocol::InitialState;
 use selfstab_graph::Graph;
 use selfstab_graph::Node;
 use selfstab_json::{Json, ToJson};
-use selfstab_runtime::{converge_wave, RuntimeError};
 
 use crate::env::Clock;
 use crate::overlay::OverlayProtocol;
 use crate::proto::Mutation;
-use crate::telemetry::Telemetry;
-
-/// Which engine runs each event's re-convergence drain.
-///
-/// Both backends execute the *same* synchronous rounds over the same
-/// seeded worklist, so states and per-event recovery rounds are identical
-/// — see the `consistency` proptests. The only observable asymmetry is
-/// the `converged` flag when an event stabilizes in *exactly* its budget:
-/// the serial loop stops at the budget without the extra evaluation that
-/// would prove quiescence and conservatively reports `converged = false`
-/// with the (settled) frontier carried forward, while the sharded runtime
-/// performs that evaluation and reports the strictly more precise
-/// `Stabilized`. States, rounds, and all later events agree either way.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Backend {
-    /// The in-place active-set step loop (default): one thread, zero
-    /// per-event setup cost — right for small perturbed regions.
-    Serial,
-    /// Each drain runs through [`selfstab_runtime::RuntimeExecutor`]: the
-    /// graph is partitioned once (lazily re-partitioned when accumulated
-    /// edge churn erodes the cut quality), worker threads evaluate the
-    /// perturbed region in parallel, and a budget-capped wave reports its
-    /// dirty frontier so carry-over semantics match the serial loop.
-    Sharded {
-        /// Worker shard count (≥ 1).
-        shards: usize,
-        /// Per-channel frame bound override (`None` = runtime default).
-        channel_cap: Option<usize>,
-    },
-}
-
-impl Backend {
-    /// Short name for status lines (`"serial"`, `"sharded"`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Backend::Serial => "serial",
-            Backend::Sharded { .. } => "sharded",
-        }
-    }
-}
+use crate::telemetry::{Telemetry, BACKEND};
 
 /// What one ingested event did to the structure: the perturbed-region size,
 /// the re-stabilization latency in rounds, and the repair work in moves.
@@ -135,15 +95,6 @@ pub struct OverlayService<'a, P: OverlayProtocol> {
     records: Vec<EventRecord>,
     recovery_hist: Histogram,
     moves_per_rule: Vec<u64>,
-    backend: Backend,
-    /// Cached shard assignment for the sharded backend; `None` until the
-    /// first sharded drain (or after invalidation).
-    partition: Option<Partition>,
-    /// Links changed since the partition was computed — the staleness
-    /// signal driving lazy re-partitioning.
-    churned_links: usize,
-    repartitions: u64,
-    backend_fallbacks: u64,
     /// Live telemetry registry; `None` keeps the drain path clock-free
     /// (the registry is the only reason `apply_one` would read the clock).
     telemetry: Option<Arc<Telemetry>>,
@@ -174,30 +125,13 @@ impl<'a, P: OverlayProtocol> OverlayService<'a, P> {
             records: Vec::new(),
             recovery_hist: Histogram::new(),
             moves_per_rule: vec![0; proto.rule_names().len()],
-            backend: Backend::Serial,
-            partition: None,
-            churned_links: 0,
-            repartitions: 0,
-            backend_fallbacks: 0,
             telemetry: None,
             accept_failures: 0,
         }
     }
 
-    /// Choose the convergence backend (default [`Backend::Serial`]).
-    ///
-    /// # Panics
-    /// Panics if a sharded backend requests zero shards.
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        if let Backend::Sharded { shards, .. } = backend {
-            assert!(shards > 0, "sharded backend needs at least one shard");
-        }
-        self.backend = backend;
-        self
-    }
-
     /// Attach a live telemetry registry. Only with a registry attached
-    /// does the drain path read the clock (to time backend latency); the
+    /// does the drain path read the clock (to time drain latency); the
     /// unobserved path stays clock-free.
     pub fn with_telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
         self.telemetry = Some(telemetry);
@@ -228,21 +162,6 @@ impl<'a, P: OverlayProtocol> OverlayService<'a, P> {
     /// Note the transport's accept-failure count (surfaced by `status`).
     pub fn note_accept_failures(&mut self, count: u64) {
         self.accept_failures = count;
-    }
-
-    /// The convergence backend in use.
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
-
-    /// How many times the sharded backend (re)computed its partition.
-    pub fn repartitions(&self) -> u64 {
-        self.repartitions
-    }
-
-    /// Drains that fell back to the serial loop after a runtime error.
-    pub fn backend_fallbacks(&self) -> u64 {
-        self.backend_fallbacks
     }
 
     fn budget(&self) -> usize {
@@ -304,104 +223,10 @@ impl<'a, P: OverlayProtocol> OverlayService<'a, P> {
         &self.recovery_hist
     }
 
-    /// Run the configured backend until fixpoint or `budget` rounds, from
-    /// whatever is currently dirty. Returns `(rounds, moves)`.
+    /// Run [`Kernel`] rounds over the dirty worklist until it drains or
+    /// `budget` rounds pass (the leftover frontier then carries over to the
+    /// next event). Returns `(rounds, moves)`.
     fn converge<O: Observer<P::State>>(&mut self, budget: usize, obs: &mut O) -> (usize, u64) {
-        if self.kernel.worklist().is_empty() {
-            self.converged = true;
-            return (0, 0);
-        }
-        if let Backend::Sharded {
-            shards,
-            channel_cap,
-        } = self.backend
-        {
-            match self.converge_sharded(shards, channel_cap, budget, obs) {
-                Ok(out) => return out,
-                Err(e) => {
-                    // A runtime failure is an availability fault, not a
-                    // correctness one: nothing was mutated (the wave ran on
-                    // a clone of the states), so the serial loop can redo
-                    // the drain from the same seeded worklist.
-                    self.backend_fallbacks += 1;
-                    if let Some(t) = &self.telemetry {
-                        t.record_backend_fallback();
-                    }
-                    eprintln!("service: sharded drain failed ({e}); falling back to serial");
-                }
-            }
-        }
-        self.converge_serial(budget, obs)
-    }
-
-    /// One sharded convergence wave over the current dirty set, carrying
-    /// the same budget/frontier semantics as the serial loop: on a
-    /// round-limit cut the wave's dirty frontier becomes the carried
-    /// worklist for the next event.
-    fn converge_sharded<O: Observer<P::State>>(
-        &mut self,
-        shards: usize,
-        channel_cap: Option<usize>,
-        budget: usize,
-        obs: &mut O,
-    ) -> Result<(usize, u64), RuntimeError> {
-        self.ensure_partition(shards);
-        let partition = self.partition.as_ref().expect("partition ensured above");
-        let wave = converge_wave(
-            &self.graph,
-            self.proto,
-            partition,
-            Schedule::Active,
-            channel_cap,
-            Some(self.kernel.worklist().nodes()),
-            None,
-            self.states.clone(),
-            budget,
-            self.clock_rounds,
-            obs,
-        )?;
-        let moves_total: u64 = wave.moves_per_rule.iter().sum();
-        for (slot, &m) in self.moves_per_rule.iter_mut().zip(&wave.moves_per_rule) {
-            *slot += m;
-        }
-        self.states = wave.states;
-        self.clock_rounds += wave.rounds;
-        self.kernel.replace_worklist(&wave.frontier);
-        self.converged = self.kernel.worklist().is_empty();
-        Ok((wave.rounds, moves_total))
-    }
-
-    /// Compute the shard assignment if there is none, the shard count
-    /// changed, or accumulated edge churn invalidated the cached cut. A
-    /// node→shard map never becomes *unsound* under edge churn (the node
-    /// set is fixed), so this threshold is purely about cut quality: past
-    /// ~25% of the live links changed, the coarsening that minimized
-    /// cross-shard traffic no longer reflects the topology.
-    fn ensure_partition(&mut self, shards: usize) {
-        let stale = match &self.partition {
-            None => true,
-            Some(p) => {
-                p.k() != shards || self.churned_links.saturating_mul(4) > self.graph.m().max(32)
-            }
-        };
-        if stale {
-            self.partition = Some(Partition::coarsened(&self.graph, shards));
-            self.churned_links = 0;
-            self.repartitions += 1;
-            if let Some(t) = &self.telemetry {
-                t.record_repartition();
-            }
-        }
-    }
-
-    /// The serial backend: [`Kernel`] rounds over the dirty worklist until
-    /// it drains or the budget runs out (the leftover frontier then carries
-    /// over to the next event).
-    fn converge_serial<O: Observer<P::State>>(
-        &mut self,
-        budget: usize,
-        obs: &mut O,
-    ) -> (usize, u64) {
         let mut rounds = 0usize;
         let mut moves_total = 0u64;
         while rounds < budget && !self.kernel.worklist().is_empty() {
@@ -549,7 +374,6 @@ impl<'a, P: OverlayProtocol> OverlayService<'a, P> {
                 return Err(e);
             }
         };
-        self.churned_links += touched.len();
         // Seed the perturbed region: the closed neighborhoods (in the
         // *mutated* graph) of every endpoint of every changed link. Any
         // leftover dirty set from a budget-capped predecessor stays marked,
@@ -586,7 +410,6 @@ impl<'a, P: OverlayProtocol> OverlayService<'a, P> {
             let now = clock.now_micros();
             telemetry.record_event(
                 &record,
-                self.backend.name(),
                 now.saturating_sub(started),
                 now,
                 self.pending.len(),
@@ -607,31 +430,23 @@ impl<'a, P: OverlayProtocol> OverlayService<'a, P> {
 
     /// Status facts for the `status` query and shutdown summaries.
     pub fn status_json(&self) -> Json {
-        let mut fields = vec![
-            ("protocol".to_string(), self.proto.name().to_json()),
-            ("backend".to_string(), self.backend.name().to_json()),
-            ("n".to_string(), self.graph.n().to_json()),
-            ("m".to_string(), self.graph.m().to_json()),
-            ("clock_rounds".to_string(), self.clock_rounds.to_json()),
-            ("events".to_string(), self.events_applied.to_json()),
-            ("pending".to_string(), self.pending.len().to_json()),
-            ("converged".to_string(), self.converged.to_json()),
+        Json::obj([
+            ("protocol", self.proto.name().to_json()),
+            ("backend", BACKEND.to_json()),
+            ("n", self.graph.n().to_json()),
+            ("m", self.graph.m().to_json()),
+            ("clock_rounds", self.clock_rounds.to_json()),
+            ("events", self.events_applied.to_json()),
+            ("pending", self.pending.len().to_json()),
+            ("converged", self.converged.to_json()),
             (
-                "legitimate".to_string(),
+                "legitimate",
                 self.proto
                     .is_legitimate(&self.graph, &self.states)
                     .to_json(),
             ),
-            (
-                "accept_failures".to_string(),
-                self.accept_failures.to_json(),
-            ),
-        ];
-        if let Backend::Sharded { shards, .. } = self.backend {
-            fields.push(("shards".to_string(), shards.to_json()));
-            fields.push(("repartitions".to_string(), self.repartitions.to_json()));
-        }
-        Json::Object(fields)
+            ("accept_failures", self.accept_failures.to_json()),
+        ])
     }
 
     /// The latency histogram as JSON: quantiles plus the dense counts.

@@ -4,9 +4,7 @@
 //! Everything observable about a serving [`OverlayService`](crate::OverlayService) funnels into
 //! one [`Telemetry`] value: per-event recovery rounds/moves/perturbed
 //! sizes, queue depth and ingest/drain rates, per-client request counts,
-//! backend drain latency, repartition/fallback counters, and — when chaos
-//! is active — the Byzantine/asymmetric-link fault counters riding on
-//! `RuntimeCounters`. The registry is shared by reference between the
+//! and drain latency. The registry is shared by reference between the
 //! serve loop (which records), the TCP scrape listener (which renders
 //! [`Telemetry::render_prometheus`]) and the UDS `telemetry` query (which
 //! renders [`Telemetry::to_json`]), so both export paths read the *same*
@@ -32,7 +30,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use selfstab_engine::obs::{Observer, RateWindow, RollingWindow, RoundStats};
+use selfstab_engine::obs::{RateWindow, RollingWindow};
 use selfstab_json::{Json, ToJson};
 
 use crate::service::EventRecord;
@@ -54,6 +52,11 @@ const TRACK_CAP: usize = 1 << 16;
 /// artifacts (`event: "service_telemetry"` lines).
 pub const TRACK_FORMAT: &str = "service-telemetry/v1";
 
+/// The drain backend named in the summary labels and track rows. Every
+/// drain runs the serial round kernel; the label stays for wire
+/// compatibility with existing scrapers and recorded artifacts.
+pub(crate) const BACKEND: &str = "serial";
+
 #[derive(Default)]
 struct Windows {
     recovery_rounds: Option<RollingWindow>,
@@ -65,7 +68,6 @@ struct Windows {
     clients: BTreeMap<u64, u64>,
     track: Vec<Json>,
     track_dropped: u64,
-    backend: &'static str,
 }
 
 impl Windows {
@@ -89,11 +91,6 @@ pub struct Telemetry {
     requests_total: AtomicU64,
     queries_total: AtomicU64,
     ingest_total: AtomicU64,
-    repartitions_total: AtomicU64,
-    backend_fallbacks_total: AtomicU64,
-    byz_rewrites_total: AtomicU64,
-    asym_links_down_total: AtomicU64,
-    chaos_faults_total: AtomicU64,
     snapshots_total: AtomicU64,
     scrapes_total: AtomicU64,
     // Gauges (last observed value).
@@ -103,7 +100,6 @@ pub struct Telemetry {
     converged: AtomicU64,
     graph_n: AtomicU64,
     graph_m: AtomicU64,
-    containment_radius: AtomicU64,
     snapshot_last_at_micros: AtomicU64,
     snapshot_duration_micros: AtomicU64,
     snapshot_bytes: AtomicU64,
@@ -161,12 +157,11 @@ impl Telemetry {
     }
 
     /// One event finished its re-convergence drain. `drain_micros` is the
-    /// backend latency of this event's converge call; `now_micros` the
-    /// clock after it; `queue_depth` the post-drain pending count.
+    /// latency of this event's converge call; `now_micros` the clock after
+    /// it; `queue_depth` the post-drain pending count.
     pub fn record_event(
         &self,
         record: &EventRecord,
-        backend: &'static str,
         drain_micros: u64,
         now_micros: u64,
         queue_depth: usize,
@@ -177,7 +172,6 @@ impl Telemetry {
         Self::set(&self.converged, record.converged as u64);
         Self::set(&self.queue_depth, queue_depth as u64);
         let mut w = self.windows.lock().expect("telemetry windows");
-        w.backend = backend;
         Windows::rolling(&mut w.recovery_rounds).push(record.recovery_rounds as u64);
         Windows::rolling(&mut w.perturbed).push(record.perturbed as u64);
         Windows::rolling(&mut w.moves).push(record.moves);
@@ -196,19 +190,9 @@ impl Telemetry {
             ("perturbed", record.perturbed.to_json()),
             ("drain_micros", drain_micros.to_json()),
             ("queue_depth", queue_depth.to_json()),
-            ("backend", backend.to_json()),
+            ("backend", BACKEND.to_json()),
             ("converged", record.converged.to_json()),
         ]));
-    }
-
-    /// The sharded backend (re)computed its partition.
-    pub fn record_repartition(&self) {
-        Self::add(&self.repartitions_total, 1);
-    }
-
-    /// A sharded drain fell back to the serial loop.
-    pub fn record_backend_fallback(&self) {
-        Self::add(&self.backend_fallbacks_total, 1);
     }
 
     /// A background snapshot was written at `at_micros`, taking
@@ -241,13 +225,6 @@ impl Telemetry {
         Self::set(&self.graph_m, m as u64);
         Self::set(&self.converged, converged as u64);
         Self::set(&self.accept_failures, accept_failures);
-    }
-
-    /// Latest containment radius measured by a chaos-aware driver (the
-    /// serve loop itself injects no faults; harness code that does can
-    /// surface the PR 9 signal here).
-    pub fn set_containment_radius(&self, radius: u64) {
-        Self::set(&self.containment_radius, radius);
     }
 
     /// Mutations applied since boot (monotone; the scrape-under-churn test
@@ -310,7 +287,7 @@ impl Telemetry {
             },
             SummaryRow {
                 name: "drain_micros",
-                help: "Per-event backend drain latency in microseconds (rolling window)",
+                help: "Per-event drain latency in microseconds (rolling window)",
                 stats: now(&mut w.drain_micros),
             },
         ]
@@ -321,7 +298,7 @@ impl Telemetry {
     pub fn render_prometheus(&self) -> String {
         let now = Self::get(&self.now_micros);
         let mut out = String::with_capacity(4096);
-        let counters: [(&str, &str, u64); 14] = [
+        let counters: [(&str, &str, u64); 9] = [
             (
                 "selfstab_events_total",
                 "Mutations applied since boot",
@@ -358,31 +335,6 @@ impl Telemetry {
                 Self::get(&self.ingest_total),
             ),
             (
-                "selfstab_repartitions_total",
-                "Sharded-backend partition (re)computations since boot",
-                Self::get(&self.repartitions_total),
-            ),
-            (
-                "selfstab_backend_fallbacks_total",
-                "Sharded drains that fell back to the serial loop since boot",
-                Self::get(&self.backend_fallbacks_total),
-            ),
-            (
-                "selfstab_byz_rewrites_total",
-                "Byzantine state rewrites observed since boot (chaos only)",
-                Self::get(&self.byz_rewrites_total),
-            ),
-            (
-                "selfstab_asym_links_down_total",
-                "Downed asymmetric link directions observed since boot (chaos only)",
-                Self::get(&self.asym_links_down_total),
-            ),
-            (
-                "selfstab_chaos_faults_total",
-                "Chaos-injected fault events observed since boot",
-                Self::get(&self.chaos_faults_total),
-            ),
-            (
                 "selfstab_snapshots_total",
                 "Background snapshots written since boot",
                 Self::get(&self.snapshots_total),
@@ -404,7 +356,7 @@ impl Telemetry {
         } else {
             now.saturating_sub(snapshot_at)
         };
-        let gauges: [(&str, &str, u64); 8] = [
+        let gauges: [(&str, &str, u64); 7] = [
             (
                 "selfstab_queue_depth",
                 "Mutations enqueued but not yet applied",
@@ -431,11 +383,6 @@ impl Telemetry {
                 Self::get(&self.graph_m),
             ),
             (
-                "selfstab_containment_radius",
-                "Latest measured Byzantine containment radius in hops (chaos only)",
-                Self::get(&self.containment_radius),
-            ),
-            (
                 "selfstab_snapshot_age_micros",
                 "Microseconds since the last background snapshot (0 before the first)",
                 snapshot_age,
@@ -456,11 +403,6 @@ impl Telemetry {
             Self::get(&self.snapshot_bytes)
         ));
         let mut w = self.windows.lock().expect("telemetry windows");
-        let backend = if w.backend.is_empty() {
-            "serial"
-        } else {
-            w.backend
-        };
         for row in Self::summary_rows(&mut w) {
             let name = format!("selfstab_{}", row.name);
             out.push_str(&format!(
@@ -468,19 +410,19 @@ impl Telemetry {
                 help = row.help
             ));
             out.push_str(&format!(
-                "{name}{{backend=\"{backend}\",quantile=\"0.5\"}} {}\n",
+                "{name}{{backend=\"{BACKEND}\",quantile=\"0.5\"}} {}\n",
                 row.stats.p50
             ));
             out.push_str(&format!(
-                "{name}{{backend=\"{backend}\",quantile=\"0.99\"}} {}\n",
+                "{name}{{backend=\"{BACKEND}\",quantile=\"0.99\"}} {}\n",
                 row.stats.p99
             ));
             out.push_str(&format!(
-                "{name}{{backend=\"{backend}\",quantile=\"0.99\",decay=\"recent\"}} {}\n",
+                "{name}{{backend=\"{BACKEND}\",quantile=\"0.99\",decay=\"recent\"}} {}\n",
                 row.stats.p99_decayed
             ));
             out.push_str(&format!(
-                "{name}{{backend=\"{backend}\",quantile=\"1\"}} {}\n",
+                "{name}{{backend=\"{BACKEND}\",quantile=\"1\"}} {}\n",
                 row.stats.max
             ));
             out.push_str(&format!("{name}_count {}\n", row.stats.count));
@@ -548,26 +490,6 @@ impl Telemetry {
             ("requests", Self::get(&self.requests_total).to_json()),
             ("queries", Self::get(&self.queries_total).to_json()),
             ("ingest", Self::get(&self.ingest_total).to_json()),
-            (
-                "repartitions",
-                Self::get(&self.repartitions_total).to_json(),
-            ),
-            (
-                "backend_fallbacks",
-                Self::get(&self.backend_fallbacks_total).to_json(),
-            ),
-            (
-                "byz_rewrites",
-                Self::get(&self.byz_rewrites_total).to_json(),
-            ),
-            (
-                "asym_links_down",
-                Self::get(&self.asym_links_down_total).to_json(),
-            ),
-            (
-                "chaos_faults",
-                Self::get(&self.chaos_faults_total).to_json(),
-            ),
             ("snapshots", Self::get(&self.snapshots_total).to_json()),
             ("scrapes", Self::get(&self.scrapes_total).to_json()),
             ("queue_depth", Self::get(&self.queue_depth).to_json()),
@@ -578,10 +500,6 @@ impl Telemetry {
             ("converged", (Self::get(&self.converged) == 1).to_json()),
             ("n", Self::get(&self.graph_n).to_json()),
             ("m", Self::get(&self.graph_m).to_json()),
-            (
-                "containment_radius",
-                Self::get(&self.containment_radius).to_json(),
-            ),
             ("snapshot_age_micros", snapshot_age.to_json()),
             (
                 "snapshot_duration_micros",
@@ -610,32 +528,6 @@ struct SummaryRow {
     stats: WindowStats,
 }
 
-/// An [`Observer`] adapter that aggregates the per-round chaos counters
-/// ([`RuntimeCounters`](selfstab_engine::obs::RuntimeCounters):
-/// `byz_rewrites`, `asym_links_down`, total faults) into a registry, so
-/// drains routed through the sharded runtime surface adversary activity
-/// live. Compose it with other observers as usual (`(jsonl, tele_obs)`).
-pub struct TelemetryObserver<'a> {
-    registry: &'a Telemetry,
-}
-
-impl<'a> TelemetryObserver<'a> {
-    /// An observer recording into `registry`.
-    pub fn new(registry: &'a Telemetry) -> Self {
-        TelemetryObserver { registry }
-    }
-}
-
-impl<S> Observer<S> for TelemetryObserver<'_> {
-    fn on_round_end(&mut self, stats: &RoundStats, _states: &[S]) {
-        if let Some(rt) = &stats.runtime {
-            Telemetry::add(&self.registry.byz_rewrites_total, rt.byz_rewrites);
-            Telemetry::add(&self.registry.asym_links_down_total, rt.asym_links_down);
-            Telemetry::add(&self.registry.chaos_faults_total, rt.faults());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -659,7 +551,7 @@ mod tests {
         t.heartbeat(1_000_000);
         t.record_ingest(10);
         t.record_request(1);
-        t.record_event(&record(1, 2, 3, true), "serial", 150, 500, 0);
+        t.record_event(&record(1, 2, 3, true), 150, 500, 0);
         let text = t.render_prometheus();
         for needle in [
             "# TYPE selfstab_events_total counter",
@@ -689,13 +581,7 @@ mod tests {
         let t = Telemetry::new();
         t.heartbeat(2_000_000);
         for i in 1..=5 {
-            t.record_event(
-                &record(i, i as usize, 2 * i, true),
-                "sharded",
-                100 * i,
-                0,
-                1,
-            );
+            t.record_event(&record(i, i as usize, 2 * i, true), 100 * i, 0, 1);
         }
         t.record_snapshot(1_500_000, 42, 1000);
         let text = t.render_prometheus();
@@ -709,7 +595,7 @@ mod tests {
             .and_then(Json::as_u64)
             .unwrap();
         assert!(text.contains(&format!(
-            "selfstab_recovery_rounds{{backend=\"sharded\",quantile=\"0.99\"}} {p99}"
+            "selfstab_recovery_rounds{{backend=\"serial\",quantile=\"0.99\"}} {p99}"
         )));
         // Snapshot age is now − last-at under both renderings.
         assert_eq!(
@@ -721,38 +607,10 @@ mod tests {
     }
 
     #[test]
-    fn observer_aggregates_runtime_counters() {
-        use selfstab_engine::obs::RuntimeCounters;
-        let t = Telemetry::new();
-        let mut obs = TelemetryObserver::new(&t);
-        let stats = RoundStats {
-            round: 1,
-            privileged: 1,
-            evaluated: 1,
-            moves_per_rule: vec![1],
-            duration_micros: 0,
-            beacon: None,
-            runtime: Some(RuntimeCounters {
-                byz_rewrites: 3,
-                asym_links_down: 2,
-                frames_dropped: 1,
-                ..RuntimeCounters::default()
-            }),
-            profile: None,
-        };
-        Observer::<u8>::on_round_end(&mut obs, &stats, &[]);
-        Observer::<u8>::on_round_end(&mut obs, &stats, &[]);
-        let json = t.to_json();
-        assert_eq!(json.get("byz_rewrites").and_then(Json::as_u64), Some(6));
-        assert_eq!(json.get("asym_links_down").and_then(Json::as_u64), Some(4));
-        assert_eq!(json.get("chaos_faults").and_then(Json::as_u64), Some(12));
-    }
-
-    #[test]
     fn track_buffers_and_drains_rows() {
         let t = Telemetry::new();
-        t.record_event(&record(1, 1, 1, true), "serial", 10, 100, 0);
-        t.record_event(&record(2, 1, 1, false), "serial", 20, 200, 3);
+        t.record_event(&record(1, 1, 1, true), 10, 100, 0);
+        t.record_event(&record(2, 1, 1, false), 20, 200, 3);
         let (rows, dropped) = t.take_track();
         assert_eq!(rows.len(), 2);
         assert_eq!(dropped, 0);

@@ -19,7 +19,7 @@ use selfstab_engine::protocol::{InitialState, Protocol};
 use selfstab_engine::SyncExecutor;
 use selfstab_graph::{generators, Graph, Ids};
 use selfstab_json::Json;
-use selfstab_service::{Backend, Mutation, OverlayProtocol, OverlayService, SimClock};
+use selfstab_service::{Mutation, OverlayProtocol, OverlayService, SimClock};
 
 /// Abstract mutation script entry; concretized against the live graph so
 /// every event is valid (toggle picks up/down from the current topology).
@@ -130,81 +130,6 @@ fn check_against_oracle<P: OverlayProtocol>(
     Ok(())
 }
 
-/// Tentpole oracle: drive the *same* mutation script through a serial and
-/// a sharded-drain service side by side. Every event must agree on the
-/// perturbed-region size, the recovery rounds, the moves, the absolute
-/// round clock, and the full state vector — the sharded drain is the same
-/// daemon, just evaluated in parallel.
-fn check_sharded_matches_serial<P: OverlayProtocol>(
-    g: Graph,
-    proto: &P,
-    state_seed: u64,
-    ops: &[Op],
-    shard_counts: &[usize],
-) -> TestCaseResult {
-    let clock = SimClock::new();
-    for &shards in shard_counts {
-        let init = InitialState::Random { seed: state_seed };
-        let mut serial = OverlayService::new(g.clone(), proto, init.clone(), 0);
-        let mut sharded =
-            OverlayService::new(g.clone(), proto, init, 0).with_backend(Backend::Sharded {
-                shards,
-                channel_cap: None,
-            });
-        let boot = serial.stabilize(&clock, &mut ());
-        let (boot_rounds, boot_perturbed) = (boot.recovery_rounds, boot.perturbed);
-        let boot_sharded = sharded.stabilize(&clock, &mut ());
-        prop_assert_eq!(
-            boot_sharded.recovery_rounds,
-            boot_rounds,
-            "bootstrap rounds"
-        );
-        prop_assert_eq!(boot_sharded.perturbed, boot_perturbed);
-        prop_assert!(boot_sharded.converged);
-        prop_assert_eq!(serial.states(), sharded.states(), "bootstrap states");
-
-        for op in ops {
-            let Some(mutation) = concretize(op, serial.graph()) else {
-                continue;
-            };
-            serial.enqueue(mutation.clone());
-            sharded.enqueue(mutation.clone());
-            let a = serial
-                .drain(&clock, &mut ())
-                .pop()
-                .expect("one event drained")
-                .expect("concretized mutations are valid");
-            let b = sharded
-                .drain(&clock, &mut ())
-                .pop()
-                .expect("one event drained")
-                .expect("concretized mutations are valid");
-            prop_assert_eq!(
-                b.recovery_rounds,
-                a.recovery_rounds,
-                "recovery rounds (shards={}, {:?})",
-                shards,
-                mutation
-            );
-            prop_assert_eq!(b.perturbed, a.perturbed, "perturbed ({:?})", mutation);
-            prop_assert_eq!(b.moves, a.moves, "moves ({:?})", mutation);
-            prop_assert_eq!(b.round, a.round, "absolute round ({:?})", mutation);
-            prop_assert_eq!(b.converged, a.converged, "converged ({:?})", mutation);
-            prop_assert_eq!(
-                serial.states(),
-                sharded.states(),
-                "states (shards={}, {:?})",
-                shards,
-                mutation
-            );
-            prop_assert_eq!(serial.clock_rounds(), sharded.clock_rounds());
-        }
-        prop_assert_eq!(sharded.backend_fallbacks(), 0, "no silent serial fallback");
-        prop_assert!(proto.is_legitimate(sharded.graph(), sharded.states()));
-    }
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -237,66 +162,18 @@ proptest! {
     }
 }
 
-proptest! {
-    // Each case runs 4 shard counts × (1 + events) waves with real worker
-    // threads; fewer cases keep the suite fast without losing coverage.
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn smm_sharded_drain_matches_serial_service(
-        pick in 0u8..4,
-        n in 4usize..11,
-        state_seed in 0u64..1_000,
-        ops in proptest::collection::vec(op_strategy(10), 1..10),
-    ) {
-        let g = topology(pick, n);
-        let n = g.n();
-        let ops: Vec<Op> = ops.into_iter().filter(|op| in_range(op, n)).collect();
-        let smm = Smm::paper(Ids::identity(n));
-        check_sharded_matches_serial(g, &smm, state_seed, &ops, &[1, 2, 4, 8])?;
-    }
-
-    #[test]
-    fn smi_sharded_drain_matches_serial_service(
-        pick in 0u8..4,
-        n in 4usize..11,
-        state_seed in 0u64..1_000,
-        ops in proptest::collection::vec(op_strategy(10), 1..10),
-    ) {
-        let g = topology(pick, n);
-        let n = g.n();
-        let ops: Vec<Op> = ops.into_iter().filter(|op| in_range(op, n)).collect();
-        let smi = Smi::new(Ids::identity(n));
-        check_sharded_matches_serial(g, &smi, state_seed, &ops, &[1, 2, 4, 8])?;
-    }
-}
-
-/// Budget-capped carry-over: with one round per event, the sharded drain
-/// must hand its round-limit frontier to the next event exactly like the
-/// serial loop carries its dirty set — same per-event rounds and moves,
-/// same states at every step, same settled fixpoint.
-///
-/// `perturbed` and `converged` are deliberately *not* compared here: when
-/// an event stabilizes in exactly its budget, the serial loop stops
-/// without the extra evaluation that would prove quiescence (conservative
-/// `converged = false`, settled frontier carried), while the runtime
-/// performs it and reports the precise answer. States, rounds, and every
-/// later event agree regardless.
+/// Budget-capped carry-over: with one round per event, hub churn on a
+/// star leaves repair work pending past each event's budget. The dirty
+/// frontier carries to the next event, the round clock counts exactly the
+/// rounds run, and `settle` drains what is left to a legitimate fixpoint.
 #[test]
-fn sharded_budget_cap_carries_frontier_like_serial() {
+fn budget_cap_carries_frontier_to_settle() {
     let n = 12;
     let g = generators::star(n);
     let smm = Smm::paper(Ids::identity(n));
     let clock = SimClock::new();
-    let mut serial = OverlayService::new(g.clone(), &smm, InitialState::Random { seed: 5 }, 1);
-    let mut sharded = OverlayService::new(g, &smm, InitialState::Random { seed: 5 }, 1)
-        .with_backend(Backend::Sharded {
-            shards: 4,
-            channel_cap: None,
-        });
-    serial.stabilize(&clock, &mut ());
-    sharded.stabilize(&clock, &mut ());
-    assert_eq!(serial.states(), sharded.states());
+    let mut svc = OverlayService::new(g, &smm, InitialState::Random { seed: 5 }, 1);
+    let mut rounds = svc.stabilize(&clock, &mut ()).recovery_rounds;
 
     // Hub churn on a star perturbs every node; one round per event is far
     // below the repair cost, so the frontier must carry across events.
@@ -308,25 +185,24 @@ fn sharded_budget_cap_carries_frontier_like_serial() {
         },
         Mutation::EdgeDown { a: 0, b: 3 },
     ];
+    let mut carried = 0;
     for mutation in script {
-        serial.enqueue(mutation.clone());
-        sharded.enqueue(mutation.clone());
-        let a = serial.drain(&clock, &mut ()).pop().unwrap().unwrap();
-        let b = sharded.drain(&clock, &mut ()).pop().unwrap().unwrap();
-        assert!(a.recovery_rounds <= 1, "budget caps per-event rounds");
-        assert_eq!(b.recovery_rounds, a.recovery_rounds, "{:?}", a.detail);
-        assert_eq!(b.moves, a.moves, "{:?}", a.detail);
-        assert_eq!(serial.states(), sharded.states(), "{:?}", a.detail);
-        assert_eq!(serial.clock_rounds(), sharded.clock_rounds());
+        svc.enqueue(mutation);
+        let rec = svc.drain(&clock, &mut ()).pop().unwrap().unwrap();
+        assert!(rec.recovery_rounds <= 1, "budget caps per-event rounds");
+        carried += usize::from(!rec.converged);
+        rounds += rec.recovery_rounds;
     }
+    assert!(carried > 0, "some event must end with work carried forward");
 
-    let a = serial.settle(&clock, &mut ());
-    let b = sharded.settle(&clock, &mut ());
-    assert_eq!(a, b, "settle drains the same carried frontier");
-    assert_eq!(serial.states(), sharded.states());
-    assert!(serial.is_converged() && sharded.is_converged());
-    assert!(smm.is_legitimate(sharded.graph(), sharded.states()));
-    assert_eq!(sharded.backend_fallbacks(), 0);
+    rounds += svc.settle(&clock, &mut ());
+    assert_eq!(
+        svc.clock_rounds(),
+        rounds,
+        "the clock counts every round run"
+    );
+    assert!(svc.is_converged());
+    assert!(smm.is_legitimate(svc.graph(), svc.states()));
 }
 
 /// Ops are drawn over node indices 0..10 but the instance may be smaller
