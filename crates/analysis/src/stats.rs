@@ -17,10 +17,6 @@ pub struct Summary {
     pub max: f64,
     /// Median (mean of middle pair for even sizes).
     pub median: f64,
-    /// First quartile (25th percentile, linear interpolation).
-    pub q1: f64,
-    /// Third quartile (75th percentile, linear interpolation).
-    pub q3: f64,
     /// 95th percentile (nearest-rank).
     pub p95: f64,
 }
@@ -34,8 +30,6 @@ impl ToJson for Summary {
             ("min", self.min.to_json()),
             ("max", self.max.to_json()),
             ("median", self.median.to_json()),
-            ("q1", self.q1.to_json()),
-            ("q3", self.q3.to_json()),
             ("p95", self.p95.to_json()),
         ])
     }
@@ -50,8 +44,6 @@ impl FromJson for Summary {
             min: value.parse_field("min")?,
             max: value.parse_field("max")?,
             median: value.parse_field("median")?,
-            q1: value.parse_field("q1")?,
-            q3: value.parse_field("q3")?,
             p95: value.parse_field("p95")?,
         })
     }
@@ -69,8 +61,6 @@ impl Summary {
                 min: f64::NAN,
                 max: f64::NAN,
                 median: f64::NAN,
-                q1: f64::NAN,
-                q3: f64::NAN,
                 p95: f64::NAN,
             };
         }
@@ -91,17 +81,8 @@ impl Summary {
             min: sorted[0],
             max: sorted[n - 1],
             median,
-            q1: quantile(&sorted, 0.25),
-            q3: quantile(&sorted, 0.75),
             p95: sorted[p95_idx],
         }
-    }
-
-    /// Interquartile range `q3 − q1`: the spread measure the bench
-    /// comparator's noise gate uses (robust to a single outlier rep,
-    /// unlike the standard deviation).
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
     }
 
     /// Summarize integer samples.
@@ -114,19 +95,6 @@ impl Summary {
     pub fn mean_pm_std(&self) -> String {
         format!("{:.2} ± {:.2}", self.mean, self.std)
     }
-}
-
-/// Linearly interpolated quantile of an already-sorted, non-empty sample.
-fn quantile(sorted: &[f64], q: f64) -> f64 {
-    let n = sorted.len();
-    if n == 1 {
-        return sorted[0];
-    }
-    let pos = q * (n - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f64;
-    sorted[lo] + (sorted[hi] - sorted[lo]) * frac
 }
 
 #[cfg(test)]
@@ -159,29 +127,16 @@ mod tests {
         let s = Summary::of(&[]);
         assert_eq!(s.n, 0);
         assert!(s.mean.is_nan());
-        assert!(s.q1.is_nan());
         let s = Summary::of(&[7.0]);
         assert_eq!(s.mean, 7.0);
         assert_eq!(s.std, 0.0);
         assert_eq!(s.median, 7.0);
         assert_eq!(s.p95, 7.0);
-        assert_eq!(s.q1, 7.0);
-        assert_eq!(s.q3, 7.0);
-        assert_eq!(s.iqr(), 0.0);
     }
 
     #[test]
-    fn quartiles_interpolate_and_roundtrip() {
-        // 1..=5 sorted: q1 at position 1.0 → 2.0, q3 at position 3.0 → 4.0.
+    fn json_roundtrip() {
         let s = Summary::of(&[5.0, 3.0, 1.0, 4.0, 2.0]);
-        assert_eq!(s.q1, 2.0);
-        assert_eq!(s.q3, 4.0);
-        assert_eq!(s.iqr(), 2.0);
-        // Even size interpolates: [1,2,3,4] → q1 = 1.75, q3 = 3.25.
-        let s = Summary::of(&[1.0, 2.0, 3.0, 4.0]);
-        assert!((s.q1 - 1.75).abs() < 1e-12);
-        assert!((s.q3 - 3.25).abs() < 1e-12);
-        // JSON round-trip keeps the new fields.
         let back = Summary::from_json(&s.to_json()).unwrap();
         assert_eq!(back, s);
     }

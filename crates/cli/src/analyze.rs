@@ -11,7 +11,6 @@
 
 use crate::args::Args;
 use selfstab_analysis::{Histogram, SkewAccumulator};
-use selfstab_bench::observatory::BenchArtifact;
 use selfstab_engine::obs::PHASES;
 use selfstab_json::Json;
 
@@ -452,97 +451,6 @@ fn analyze_service(path: &str, text: &str, args: &Args) -> Result<(String, bool)
     Ok((out, violations.is_empty()))
 }
 
-/// Render a `selfstab bench` observatory artifact: header, stabilization
-/// check, and the wire/shard-skew table — per-lane totals re-fed through
-/// [`SkewAccumulator`], the same aggregation the JSONL path uses live.
-fn analyze_bench(path: &str, artifact: &BenchArtifact) -> (String, bool) {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "bench artifact {path} (schema {}, pr {}, tier {})\n",
-        artifact.schema, artifact.pr, artifact.tier
-    ));
-    out.push_str(&format!(
-        "machine: {}/{}, {} cpu(s), crate {}\n",
-        artifact.machine.os,
-        artifact.machine.arch,
-        artifact.machine.cpus,
-        artifact.machine.crate_version
-    ));
-    let stabilized = artifact.records.iter().filter(|r| r.stabilized).count();
-    out.push_str(&format!(
-        "{} records ({stabilized} stabilized), sizes n={}\n",
-        artifact.records.len(),
-        artifact
-            .records
-            .first()
-            .map_or_else(|| "?".into(), |r| r.n.to_string()),
-    ));
-
-    out.push_str("\nwire traffic and shard skew (sharded-runtime cells)\n");
-    let wired: Vec<_> = artifact
-        .records
-        .iter()
-        .filter_map(|r| r.wire.as_ref().map(|w| (r, w)))
-        .collect();
-    if wired.is_empty() {
-        out.push_str("  no sharded-runtime cells in artifact\n");
-    } else {
-        out.push_str(
-            "| cell | rounds | bytes/round | suppressed | mean skew | straggler | peak inbox |\n",
-        );
-        out.push_str("|---|---|---|---|---|---|---|\n");
-        for (r, w) in &wired {
-            // Re-feed the per-lane totals the artifact carries through the
-            // skew accumulator (one fold over lane totals).
-            let samples: Vec<(usize, u64, u64)> = w
-                .lane_micros
-                .iter()
-                .zip(&w.lane_inbox)
-                .enumerate()
-                .map(|(lane, (&us, &depth))| (lane, us, depth))
-                .collect();
-            let mut acc = SkewAccumulator::new();
-            acc.record_round(1, &samples);
-            let straggler = acc
-                .straggler()
-                .map_or_else(|| "—".into(), |s| format!("lane {s}"));
-            let peak = acc.hot_channels().first().map_or_else(
-                || "0".into(),
-                |&(lane, depth, _)| format!("{depth} (lane {lane})"),
-            );
-            out.push_str(&format!(
-                "| {} | {} | {:.1} | {} | {:.2} | {} | {} |\n",
-                r.cell_id(),
-                r.rounds,
-                w.bytes_per_round,
-                w.frames_suppressed,
-                acc.mean_skew(),
-                straggler,
-                peak,
-            ));
-        }
-    }
-
-    let mut ok = true;
-    let unstable: Vec<String> = artifact
-        .records
-        .iter()
-        .filter(|r| !r.stabilized)
-        .map(|r| r.cell_id())
-        .collect();
-    if unstable.is_empty() {
-        out.push_str("\nall cells stabilized within their round budget\n");
-    } else {
-        ok = false;
-        out.push_str(&format!(
-            "\nFAIL {} cell(s) hit the round limit: {}\n",
-            unstable.len(),
-            unstable.join(", "),
-        ));
-    }
-    (out, ok)
-}
-
 /// `selfstab analyze <artifact.jsonl>`: returns the report and whether all
 /// bound checks passed (false exits the process non-zero).
 pub fn analyze(positional: Option<&str>, args: &Args) -> Result<(String, bool), String> {
@@ -551,13 +459,6 @@ pub fn analyze(positional: Option<&str>, args: &Args) -> Result<(String, bool), 
         None => return Err("analyze needs an artifact path: selfstab analyze <run.jsonl>".into()),
     };
     let text = std::fs::read_to_string(&path).map_err(|e| format!("cannot read '{path}': {e}"))?;
-    // A `BENCH_<pr>.json` observatory artifact is a single JSON object, not
-    // a JSONL event stream — render it with the bench renderer instead of
-    // erroring on non-profile input.
-    if BenchArtifact::sniff(&text) {
-        let artifact = BenchArtifact::parse(&text).map_err(|e| format!("'{path}': {e}"))?;
-        return Ok(analyze_bench(&path, &artifact));
-    }
     // Resident-service artifacts have no finish line; route them to the
     // event-stream analyzer before the batch parser's truncation check.
     if sniff_service(&text) {

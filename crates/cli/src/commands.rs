@@ -87,22 +87,6 @@ USAGE:
                   line and analyzed as an event stream instead: rolling
                   recovery-latency/drain tables every --window events,
                   per-client fairness, and the per-event n+2 recovery gate.
-  selfstab bench  [--quick] [--out <file>] [--pr <id>] [--n <N>] [--reps <R>]
-                  [--compare <old.json> [<new.json>]] [--rel-threshold <frac>]
-                  standing performance observatory: runs the pinned matrix
-                  (SMM/SMI/Hsu-Huang x path/star/unit-disk x serial/
-                  runtime@1,2,4,8 x full/active) over the seeded suite grid and
-                  writes a schema-versioned BENCH_<pr>.json (rounds/sec,
-                  guard-evals/sec, wire bytes/round, suppressed frames, inbox
-                  depth, shard skew; repetition count + median + IQR per cell).
-                  --quick is the CI tier (small n, 1 rep); the default tier
-                  measures the 10^5-node cells. --compare diffs two artifacts
-                  cell-by-cell under a noise gate (flags only deltas beyond
-                  both --rel-threshold, default 10%, AND the pooled IQR);
-                  with one path the matrix runs first and is gated against
-                  that baseline. Exits 1 on a regression, 2 on an unreadable
-                  artifact or a mismatched matrix. `selfstab analyze` accepts
-                  the same artifacts and renders the wire/skew columns.
   selfstab topology --topology <name> --n <N> [--seed <u64>] [--format text|graph6|dot]
   selfstab serve  --protocol smm|smi --topology <name> --n <N>
                   (--script <file> | --socket <path>)
@@ -1660,6 +1644,14 @@ mod tests {
         let mut buf = Vec::new();
         let code = crate::main_with(&["bogus".to_string()], &mut buf);
         assert_eq!(code, 2);
+        // `bench` is not a subcommand: wall-clock benchmarking lives in the
+        // repository's separate `benchmark/` package.
+        let mut buf = Vec::new();
+        let code = crate::main_with(&["bench".to_string(), "--quick".to_string()], &mut buf);
+        assert_eq!(code, 2);
+        assert!(String::from_utf8(buf)
+            .unwrap()
+            .contains("unknown command 'bench'"));
     }
 }
 
@@ -1762,6 +1754,23 @@ mod profile_and_crash_tests {
             &mut buf,
         );
         assert_eq!(code, 2);
+
+        // A pretty-printed JSON document (not a JSONL event stream, not a
+        // service artifact) is unreadable input too, not a report.
+        let doc = std::env::temp_dir().join(format!(
+            "selfstab-cli-not-jsonl-{}.json",
+            std::process::id()
+        ));
+        std::fs::write(&doc, "{\n  \"records\": []\n}\n").unwrap();
+        let mut buf = Vec::new();
+        let code = crate::main_with(
+            &["analyze".to_string(), doc.to_str().unwrap().to_string()],
+            &mut buf,
+        );
+        std::fs::remove_file(&doc).ok();
+        let out = String::from_utf8(buf).unwrap();
+        assert_eq!(code, 2, "{out}");
+        assert!(out.contains("error: "), "{out}");
     }
 
     #[test]

@@ -14,7 +14,6 @@
 
 pub mod analyze;
 pub mod args;
-pub mod bench;
 pub mod commands;
 pub mod serve;
 
@@ -29,11 +28,6 @@ pub fn main_with(argv: &[String], out: &mut dyn std::io::Write) -> i32 {
         return 2;
     };
     let mut rest: Vec<String> = it.cloned().collect();
-    // `bench` handles its own argv: `--compare <old> <new>` carries a
-    // trailing positional the shared parser rejects.
-    if cmd == "bench" {
-        return bench::bench_main(&rest, out);
-    }
     // `analyze` takes its artifact as a leading positional argument
     // (`selfstab analyze run.jsonl`); every other flag stays `--key value`.
     let mut artifact: Option<String> = None;

@@ -483,6 +483,24 @@ mod tests {
     }
 
     #[test]
+    fn corrupted_matching_recovers_within_theorem_1_bound() {
+        // Theorem 1 holds from any state, so corrupting k nodes of a
+        // stabilized matching is repaired within n+1 rounds as well.
+        let g = generators::grid(16, 16);
+        let n = g.n();
+        let smm = Smm::paper(Ids::identity(n));
+        for k in [1, 4, 16] {
+            for seed in 0..4 {
+                let (_, recovery) =
+                    selfstab_engine::faults::corrupt_and_recover(&g, &smm, k, seed, n + 1)
+                        .expect("the initial run stabilizes within n+1 rounds");
+                assert!(recovery.run.stabilized(), "k={k} seed={seed}");
+                assert!(smm.is_legitimate(&g, &recovery.run.final_states));
+            }
+        }
+    }
+
+    #[test]
     fn all_null_start_on_even_path_matches_perfectly() {
         // From the all-null state on P4 with identity IDs: 0 and 1 propose
         // to each other (mutual min-ID), as do 2 and 3 after backing off.

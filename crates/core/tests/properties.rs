@@ -50,7 +50,8 @@ proptest! {
     }
 
     /// The accept-policy choice in R1 is free: Theorem 1 must hold for all
-    /// of them.
+    /// of them. R2 may propose by any total order on the nodes: max-ID is
+    /// min-ID under the reversed order, first-index under node indices.
     #[test]
     fn smm_accept_policy_is_free((g, ids) in arb_instance(16), seed in any::<u64>()) {
         let n = g.n();
@@ -60,10 +61,12 @@ proptest! {
             SelectPolicy::FirstIndex,
             SelectPolicy::Hashed,
         ] {
-            let smm = Smm::with_policies(ids.clone(), accept, SelectPolicy::MinId);
-            let run = SyncExecutor::new(&g, &smm).run(InitialState::Random { seed }, n + 1);
-            prop_assert!(run.stabilized(), "accept={accept:?}");
-            prop_assert!(smm.is_legitimate(&g, &run.final_states));
+            for propose in [SelectPolicy::MinId, SelectPolicy::MaxId, SelectPolicy::FirstIndex] {
+                let smm = Smm::with_policies(ids.clone(), accept, propose);
+                let run = SyncExecutor::new(&g, &smm).run(InitialState::Random { seed }, n + 1);
+                prop_assert!(run.stabilized(), "accept={accept:?} propose={propose:?}");
+                prop_assert!(smm.is_legitimate(&g, &run.final_states));
+            }
         }
     }
 
