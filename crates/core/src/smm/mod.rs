@@ -117,27 +117,21 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 impl SelectPolicy {
-    /// Pick one node from the non-empty, index-sorted `candidates`.
-    pub fn select(self, ids: &Ids, me: Node, candidates: &[Node]) -> Node {
-        debug_assert!(!candidates.is_empty());
+    /// The rank of `candidate` when `me` chooses among several admissible
+    /// nodes: the candidate with the lowest key is selected. IDs are
+    /// distinct, so ties happen only under [`SelectPolicy::Hashed`]; they go
+    /// to the lower index.
+    #[inline]
+    pub fn key(self, ids: &Ids, me: Node, candidate: Node) -> u64 {
         match self {
-            SelectPolicy::MinId => ids
-                .min_by_id(candidates.iter().copied())
-                .expect("non-empty"),
-            SelectPolicy::MaxId => ids
-                .max_by_id(candidates.iter().copied())
-                .expect("non-empty"),
-            SelectPolicy::FirstIndex => candidates[0],
-            SelectPolicy::Clockwise => candidates
-                .iter()
-                .copied()
-                .find(|&c| c.index() > me.index())
-                .unwrap_or(candidates[0]),
-            SelectPolicy::Hashed => candidates
-                .iter()
-                .copied()
-                .min_by_key(|&c| splitmix64(ids.id(me) << 32 | ids.id(c)))
-                .expect("non-empty"),
+            SelectPolicy::MinId => ids.id(candidate),
+            SelectPolicy::MaxId => !ids.id(candidate),
+            SelectPolicy::FirstIndex => u64::from(candidate.0),
+            // Indices above `me` first, each half in index order.
+            SelectPolicy::Clockwise => {
+                u64::from(candidate.index() <= me.index()) << 32 | u64::from(candidate.0)
+            }
+            SelectPolicy::Hashed => splitmix64(ids.id(me) << 32 | ids.id(candidate)),
         }
     }
 }
@@ -277,34 +271,41 @@ impl Protocol for Smm {
                 }
             }
             None => {
-                let proposers: Vec<Node> = view
-                    .neighbor_states()
-                    .filter(|(_, s)| s.0 == Some(i))
-                    .map(|(v, _)| v)
-                    .collect();
-                if !proposers.is_empty() {
+                // One pass ranks R1's proposers and, until the first
+                // proposer shows up, R2's null neighbors. Strict `<` keeps
+                // the lower index on a tie.
+                let mut proposer: Option<(u64, Node)> = None;
+                let mut null: Option<(u64, Node)> = None;
+                for (v, s) in view.neighbor_states() {
+                    match s.0 {
+                        Some(k) if k == i => {
+                            let key = self.accept.key(&self.ids, i, v);
+                            if proposer.is_none_or(|(best, _)| key < best) {
+                                proposer = Some((key, v));
+                            }
+                        }
+                        None if proposer.is_none() => {
+                            let key = self.propose.key(&self.ids, i, v);
+                            if null.is_none_or(|(best, _)| key < best) {
+                                null = Some((key, v));
+                            }
+                        }
+                        _ => {}
+                    }
+                }
+                if let Some((_, j)) = proposer {
                     // R1: accept a proposal.
-                    let j = self.accept.select(&self.ids, i, &proposers);
                     return Some(Move {
                         rule: rule::ACCEPT,
                         next: Pointer(Some(j)),
                     });
                 }
-                let nulls: Vec<Node> = view
-                    .neighbor_states()
-                    .filter(|(_, s)| s.is_null())
-                    .map(|(v, _)| v)
-                    .collect();
-                if !nulls.is_empty() {
-                    // R2: propose (to the minimum-ID null neighbor, under
-                    // the paper's policy).
-                    let j = self.propose.select(&self.ids, i, &nulls);
-                    return Some(Move {
-                        rule: rule::PROPOSE,
-                        next: Pointer(Some(j)),
-                    });
-                }
-                None
+                // R2: propose (to the minimum-ID null neighbor, under the
+                // paper's policy).
+                null.map(|(_, j)| Move {
+                    rule: rule::PROPOSE,
+                    next: Pointer(Some(j)),
+                })
             }
         }
     }
@@ -338,6 +339,7 @@ impl Protocol for Smm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use selfstab_engine::protocol::InitialState;
     use selfstab_engine::sync::SyncExecutor;
     use selfstab_graph::generators;
@@ -346,32 +348,190 @@ mod tests {
         Pointer(Some(Node(v)))
     }
 
+    /// The candidate among `candidates` (non-empty) that `policy` selects:
+    /// the lowest key, the lower index on a tie.
+    fn select(policy: SelectPolicy, ids: &Ids, me: Node, candidates: &[Node]) -> Node {
+        candidates
+            .iter()
+            .copied()
+            .min_by_key(|&c| policy.key(ids, me, c))
+            .expect("non-empty")
+    }
+
+    /// Each policy's selection as first written: one rule per policy over
+    /// a collected, index-sorted candidate list.
+    fn reference_select(policy: SelectPolicy, ids: &Ids, me: Node, candidates: &[Node]) -> Node {
+        match policy {
+            SelectPolicy::MinId => ids
+                .min_by_id(candidates.iter().copied())
+                .expect("non-empty"),
+            SelectPolicy::MaxId => ids
+                .max_by_id(candidates.iter().copied())
+                .expect("non-empty"),
+            SelectPolicy::FirstIndex => candidates[0],
+            SelectPolicy::Clockwise => candidates
+                .iter()
+                .copied()
+                .find(|&c| c.index() > me.index())
+                .unwrap_or(candidates[0]),
+            SelectPolicy::Hashed => candidates
+                .iter()
+                .copied()
+                .min_by_key(|&c| splitmix64(ids.id(me) << 32 | ids.id(c)))
+                .expect("non-empty"),
+        }
+    }
+
+    /// The null-pointer guard as first written: the proposers, then the
+    /// null neighbors, each collected into a fresh `Vec` and selected from.
+    /// The reference the one-pass [`Smm::step`] is checked against.
+    fn reference_step(smm: &Smm, view: View<'_, Pointer>) -> Option<Move<Pointer>> {
+        if view.own().0.is_some() {
+            return smm.step(view);
+        }
+        let i = view.node();
+        let proposers: Vec<Node> = view
+            .neighbor_states()
+            .filter(|(_, s)| s.0 == Some(i))
+            .map(|(v, _)| v)
+            .collect();
+        if !proposers.is_empty() {
+            let j = reference_select(smm.accept, &smm.ids, i, &proposers);
+            return Some(Move {
+                rule: rule::ACCEPT,
+                next: Pointer(Some(j)),
+            });
+        }
+        let nulls: Vec<Node> = view
+            .neighbor_states()
+            .filter(|(_, s)| s.is_null())
+            .map(|(v, _)| v)
+            .collect();
+        if !nulls.is_empty() {
+            let j = reference_select(smm.propose, &smm.ids, i, &nulls);
+            return Some(Move {
+                rule: rule::PROPOSE,
+                next: Pointer(Some(j)),
+            });
+        }
+        None
+    }
+
+    const POLICIES: [SelectPolicy; 5] = [
+        SelectPolicy::MinId,
+        SelectPolicy::MaxId,
+        SelectPolicy::FirstIndex,
+        SelectPolicy::Clockwise,
+        SelectPolicy::Hashed,
+    ];
+
+    /// An arbitrary graph on up to 12 nodes, an arbitrary pointer per node,
+    /// and distinct random IDs. A pointer is null 2 times in 5, else a
+    /// neighbor (often the lowest-index one, so that nodes draw several
+    /// proposers) or any node at all (so dangling pointers too). In half
+    /// the cases the IDs' low words come from a tiny range, so that
+    /// `Hashed` keys tie.
+    fn arb_smm_case() -> impl Strategy<Value = (Graph, Vec<Pointer>, Ids)> {
+        (1usize..=12).prop_flat_map(|n| {
+            (
+                collection::vec(any::<bool>(), n * (n - 1) / 2),
+                collection::vec((0u8..5, any::<u32>()), n),
+                collection::vec(any::<u64>(), n),
+                any::<bool>(),
+            )
+                .prop_map(move |(bits, pointers, words, tiny)| {
+                    let pairs = (0..n).flat_map(|a| (a + 1..n).map(move |b| (a, b)));
+                    let edges = pairs.zip(bits).filter(|&(_, on)| on).map(|(e, _)| e);
+                    let g = Graph::from_edges(n, edges);
+                    let states = g
+                        .nodes()
+                        .zip(pointers)
+                        .map(|(v, (kind, t))| {
+                            let nbrs = g.neighbors(v);
+                            Pointer(match kind {
+                                0 | 1 => None,
+                                2 if !nbrs.is_empty() => Some(nbrs[t as usize % nbrs.len()]),
+                                3 if !nbrs.is_empty() => Some(nbrs[0]),
+                                _ => Some(Node(t % n as u32)),
+                            })
+                        })
+                        .collect();
+                    // The high word is the node's rank in a random order,
+                    // which keeps the IDs distinct whatever the low words.
+                    let mut order: Vec<(u64, usize)> =
+                        words.iter().enumerate().map(|(i, &w)| (w, i)).collect();
+                    order.sort_unstable();
+                    let mut ids = vec![0u64; n];
+                    for (rank, &(w, i)) in order.iter().enumerate() {
+                        let low = if tiny { w & 3 } else { w & 0xffff_ffff };
+                        ids[i] = (rank as u64) << 32 | low;
+                    }
+                    (g, states, Ids::from_vec(ids))
+                })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The one-pass guard returns exactly the reference's move, for
+        /// every node and every pair of accept and propose policies.
+        #[test]
+        fn one_pass_step_matches_the_two_vec_reference((g, states, ids) in arb_smm_case()) {
+            for accept in POLICIES {
+                for propose in POLICIES {
+                    let smm = Smm::with_policies(ids.clone(), accept, propose);
+                    for v in g.nodes() {
+                        let view = View::new(v, g.neighbors(v), &states);
+                        prop_assert_eq!(
+                            smm.step(view),
+                            reference_step(&smm, view),
+                            "node {:?}, accept {:?}, propose {:?}",
+                            v,
+                            accept,
+                            propose
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn select_policies() {
         let ids = Ids::from_vec(vec![50, 40, 30, 20, 10]);
         let cands = [Node(1), Node(2), Node(4)];
-        assert_eq!(SelectPolicy::MinId.select(&ids, Node(0), &cands), Node(4));
-        assert_eq!(SelectPolicy::MaxId.select(&ids, Node(0), &cands), Node(1));
+        assert_eq!(select(SelectPolicy::MinId, &ids, Node(0), &cands), Node(4));
+        assert_eq!(select(SelectPolicy::MaxId, &ids, Node(0), &cands), Node(1));
         assert_eq!(
-            SelectPolicy::FirstIndex.select(&ids, Node(0), &cands),
+            select(SelectPolicy::FirstIndex, &ids, Node(0), &cands),
             Node(1)
         );
         assert_eq!(
-            SelectPolicy::Clockwise.select(&ids, Node(3), &cands),
+            select(SelectPolicy::Clockwise, &ids, Node(3), &cands),
             Node(4)
         );
         assert_eq!(
-            SelectPolicy::Clockwise.select(&ids, Node(4), &cands),
+            select(SelectPolicy::Clockwise, &ids, Node(4), &cands),
             Node(1),
             "wraps around"
         );
-        let h = SelectPolicy::Hashed.select(&ids, Node(0), &cands);
+        let h = select(SelectPolicy::Hashed, &ids, Node(0), &cands);
         assert!(cands.contains(&h));
         assert_eq!(
-            SelectPolicy::Hashed.select(&ids, Node(0), &cands),
+            select(SelectPolicy::Hashed, &ids, Node(0), &cands),
             h,
             "deterministic"
         );
+        for policy in POLICIES {
+            for me in [Node(0), Node(3)] {
+                assert_eq!(
+                    select(policy, &ids, me, &cands),
+                    reference_select(policy, &ids, me, &cands),
+                    "{policy:?} from {me:?}"
+                );
+            }
+        }
     }
 
     #[test]

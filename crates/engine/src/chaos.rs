@@ -427,6 +427,7 @@ mod tests {
         let mut seeded = ActiveSet::empty(g.n());
         seeded.insert_closed(&active.graph, e.a);
         seeded.insert_closed(&active.graph, e.b);
+        seeded.seal();
         let rounds = active_m.rounds();
         assert_eq!(rounds.iter().map(|r| r.round).collect::<Vec<_>>(), [1, 6]);
         assert_eq!(rounds[1].evaluated, seeded.len());

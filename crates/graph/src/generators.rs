@@ -212,10 +212,13 @@ pub fn erdos_renyi_connected<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> 
 /// scanned per point. On bounded-density inputs (uniform points, radius ~
 /// √(log n / n)) this is O(n + m) instead of the naive O(n²), which is what
 /// makes 10⁵-node geometric instances practical to generate.
+///
+/// Each node's list is written straight into its slot from its 3×3 cells
+/// and then sorted, with no edge list in between. Every pair is tested from
+/// both sides, which agree: the squared distance is bit-identical either
+/// way.
 pub fn unit_disk(positions: &[(f64, f64)], radius: f64) -> Graph {
-    let n = positions.len();
     let r2 = radius * radius;
-    let mut g = Graph::empty(n);
     let cell = radius.abs().max(f64::MIN_POSITIVE);
     let key = |p: (f64, f64)| ((p.0 / cell).floor() as i64, (p.1 / cell).floor() as i64);
     let mut buckets: std::collections::HashMap<(i64, i64), Vec<usize>> =
@@ -223,7 +226,9 @@ pub fn unit_disk(positions: &[(f64, f64)], radius: f64) -> Graph {
     for (i, &p) in positions.iter().enumerate() {
         buckets.entry(key(p)).or_default().push(i);
     }
-    for (i, &p) in positions.iter().enumerate() {
+    Graph::from_lists(positions.len(), |v, out| {
+        let i = v.index();
+        let p = positions[i];
         let (cx, cy) = key(p);
         for dx in -1..=1 {
             for dy in -1..=1 {
@@ -231,19 +236,18 @@ pub fn unit_disk(positions: &[(f64, f64)], radius: f64) -> Graph {
                     continue;
                 };
                 for &j in cands {
-                    if j <= i {
+                    if j == i {
                         continue;
                     }
                     let ddx = p.0 - positions[j].0;
                     let ddy = p.1 - positions[j].1;
                     if ddx * ddx + ddy * ddy <= r2 {
-                        g.add_edge(Node::from(i), Node::from(j));
+                        out.push(Node::from(j));
                     }
                 }
             }
         }
-    }
-    g
+    })
 }
 
 /// Random geometric graph: `n` points uniform in the unit square, unit-disk

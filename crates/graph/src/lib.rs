@@ -5,7 +5,8 @@
 //! edge set changes with host mobility (Section 2 of the paper). This crate
 //! provides:
 //!
-//! * a compact undirected [`Graph`] with sorted adjacency lists,
+//! * a compact undirected [`Graph`]: sorted adjacency lists in one CSR
+//!   array, with per-node slack for link churn,
 //! * unique comparable node identifiers ([`Ids`]) decoupled from positional
 //!   indices, so adversarial ID orders can be tested,
 //! * the topology [`generators`] used by the experiment suite,

@@ -14,6 +14,9 @@
 //! * Non-finite floats print as `null` (matching serde_json) and parse
 //!   back as NaN via [`FromJson`] for `f64`.
 //! * Object fields keep insertion order, so output is deterministic.
+//! * The parser recurses once per `[` or `{`, so it rejects documents
+//!   nested deeper than [`MAX_DEPTH`] with an error instead of overflowing
+//!   the stack: one hostile line must not abort a daemon.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -66,6 +69,9 @@ impl std::error::Error for JsonError {}
 
 /// Shorthand result type.
 pub type Result<T> = std::result::Result<T, JsonError>;
+
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+pub const MAX_DEPTH: usize = 128;
 
 impl Json {
     /// Build an object from field pairs (keeps the given order).
@@ -171,6 +177,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -285,6 +292,8 @@ fn write_escaped(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -330,12 +339,24 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parse one array or object one level deeper, or fail past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json>) -> Result<Json> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json> {
@@ -802,6 +823,24 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        for depth in [MAX_DEPTH + 1, 100_000] {
+            let err = Json::parse(&nested(depth)).unwrap_err();
+            assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        }
+        // Objects count too, and so does any mix, unclosed or not.
+        let objects = r#"{"a":"#.repeat(MAX_DEPTH) + "1" + &"}".repeat(MAX_DEPTH);
+        assert!(Json::parse(&objects).is_ok());
+        assert!(Json::parse(&format!("[{objects}]")).is_err());
+        assert!(Json::parse(&r#"[{"a":"#.repeat(100_000)).is_err());
+        // Siblings do not add up: depth is nesting, not count.
+        let wide = format!("[{}]", vec![nested(MAX_DEPTH - 1); 1000].join(","));
+        assert!(Json::parse(&wide).is_ok());
     }
 
     #[test]

@@ -385,6 +385,22 @@ mod tests {
     }
 
     #[test]
+    fn a_deeply_nested_line_gets_an_error_and_the_loop_survives() {
+        // 100 000 unclosed brackets once overflowed the parser's stack and
+        // aborted the whole daemon.
+        let hostile = "[".repeat(100_000);
+        let (replies, summary) = run_script(&[&hostile, r#"{"op":"query","what":"status"}"#]);
+        assert_eq!(replies.len(), 2);
+        assert_eq!(summary.errors, 1);
+        let err = Json::parse(&replies[0]).unwrap();
+        assert_eq!(err.get("ok").and_then(Json::as_bool), Some(false));
+        let message = err.get("error").and_then(Json::as_str).unwrap();
+        assert!(message.contains("nesting deeper than"), "{message}");
+        let status = Json::parse(&replies[1]).unwrap();
+        assert_eq!(status.get("ok").and_then(Json::as_bool), Some(true));
+    }
+
+    #[test]
     fn signal_shutdown_breaks_an_idle_loop() {
         // A transport that idles forever: the shutdown flag must get us out.
         struct IdleForever;
