@@ -11,12 +11,6 @@ cargo build --workspace --release
 echo "==> cargo test -q"
 cargo test -q --workspace
 
-echo "==> cargo test --release (CSR slot offsets, worklist bit indices, SMM guard)"
-# Integer overflow panics only in debug builds and debug assertions vanish
-# in release ones, so the crates whose hot paths do that arithmetic run
-# their tests optimized too.
-cargo test --release -q -p selfstab-graph -p selfstab-engine -p selfstab-core
-
 echo "==> benchmark package smoke tier (the benchmark builds against the crates' public API)"
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 

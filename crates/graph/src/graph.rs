@@ -16,10 +16,9 @@
 //! * a removal shifts entries within the node's slot, which keeps its
 //!   capacity (a link that comes back fits again);
 //! * an insertion uses the spare capacity, or, when it runs out, moves the
-//!   list to the end of the array with doubled capacity, abandoning the old
-//!   room;
-//! * once the abandoned capacity exceeds the live entries (`2m`), the array
-//!   is compacted back to node order, every slot keeping its capacity.
+//!   list to the end of the array with doubled capacity and leaves the old
+//!   room unused. A slot's capacity never shrinks and at least doubles on
+//!   each move, so the room left behind never exceeds the capacity in use.
 //!
 //! Equality compares the lists, not the layout.
 
@@ -130,9 +129,6 @@ pub struct Graph {
     targets: Vec<Node>,
     slots: Vec<Slot>,
     m: usize,
-    /// Entries of `targets` no slot owns: the capacity lists left behind
-    /// when they moved to the end of the array.
-    abandoned: usize,
 }
 
 impl Graph {
@@ -143,7 +139,6 @@ impl Graph {
             targets: Vec::new(),
             slots: vec![Slot::default(); n],
             m: 0,
-            abandoned: 0,
         }
     }
 
@@ -268,7 +263,6 @@ impl Graph {
         self.insert_at(u, pos_u, v);
         self.insert_at(v, pos_v, u);
         self.m += 1;
-        self.settle();
         true
     }
 
@@ -287,7 +281,6 @@ impl Graph {
         self.remove_at(u, pos_u);
         self.remove_at(v, pos_v);
         self.m -= 1;
-        self.settle();
         true
     }
 
@@ -308,7 +301,6 @@ impl Graph {
         }
         self.slots[v.index()].len = 0;
         self.m -= dropped.len();
-        self.settle();
         dropped
     }
 
@@ -351,7 +343,6 @@ impl Graph {
         }
         self.slots[v.index()].len += added.len();
         self.m += added.len();
-        self.settle();
         added
     }
 
@@ -392,7 +383,7 @@ impl Graph {
 
     /// Make room for `extra` more entries in `v`'s slot. Without enough
     /// spare capacity, the list moves to the end of the array with doubled
-    /// capacity, and its old room is abandoned.
+    /// capacity, and its old room goes unused.
     fn reserve(&mut self, v: Node, extra: usize) {
         let s = self.slots[v.index()];
         if s.len + extra <= s.cap {
@@ -402,29 +393,11 @@ impl Graph {
         let start = self.targets.len();
         self.targets.extend_from_within(s.start..s.start + s.len);
         self.targets.resize(start + cap, Node(0));
-        self.abandoned += s.cap;
         self.slots[v.index()] = Slot {
             start,
             len: s.len,
             cap,
         };
-    }
-
-    /// Compact the array back to node order once the abandoned capacity
-    /// exceeds the live entries. Every slot keeps its capacity.
-    fn settle(&mut self) {
-        if self.abandoned <= 2 * self.m {
-            return;
-        }
-        let mut targets = Vec::with_capacity(self.targets.len() - self.abandoned);
-        for s in &mut self.slots {
-            let start = targets.len();
-            targets.extend_from_slice(&self.targets[s.start..s.start + s.len]);
-            targets.resize(start + s.cap, Node(0));
-            s.start = start;
-        }
-        self.targets = targets;
-        self.abandoned = 0;
     }
 }
 
@@ -598,8 +571,9 @@ mod tests {
         Edge::new(Node(0), Node(1)).other(Node(2));
     }
 
-    /// Entries of the array that no slot owns, recomputed from the slots.
-    fn abandoned(g: &Graph) -> usize {
+    /// Entries of the array that no slot owns: the room lists left behind
+    /// when they moved.
+    fn unused(g: &Graph) -> usize {
         g.targets.len() - g.slots.iter().map(|s| s.cap).sum::<usize>()
     }
 
@@ -619,29 +593,16 @@ mod tests {
     }
 
     #[test]
-    fn growth_relocates_with_doubled_capacity_then_compacts() {
+    fn growth_relocates_with_doubled_capacity() {
         let mut g = Graph::from_edges(12, (1..9).map(|i| (0, i)));
-        assert_eq!((g.slots[0].cap, abandoned(&g)), (8, 0));
+        assert_eq!((g.slots[0].cap, unused(&g)), (8, 0));
         // The hub outgrows its slot: it moves to the end of the 16-entry
         // array with capacity 16 (and then leaf 9, which had none, with 4).
         assert!(g.add_edge(Node(0), Node(9)));
         assert_eq!((g.slots[0].start, g.slots[0].cap), (16, 16));
         assert_eq!((g.slots[9].start, g.slots[9].cap), (32, MIN_CAP));
-        assert_eq!((g.abandoned, abandoned(&g)), (8, 8));
-        // Removing live entries until the abandoned 8 exceed them (m = 3)
-        // compacts the array back to node order; every slot keeps its
-        // capacity.
-        for i in 1..7 {
-            assert_eq!(g.abandoned, 8, "m = {}", g.m());
-            assert!(g.remove_edge(Node(0), Node(i)));
-        }
-        assert_eq!((g.abandoned, abandoned(&g)), (0, 0));
-        assert_eq!((g.slots[0].start, g.slots[0].cap), (0, 16));
-        assert!(g
-            .slots
-            .windows(2)
-            .all(|w| w[0].start + w[0].cap == w[1].start));
-        assert_eq!(g, Graph::from_edges(12, (7..10).map(|i| (0, i))));
+        assert_eq!(unused(&g), 8, "the hub's old room");
+        assert_eq!(g, Graph::from_edges(12, (1..10).map(|i| (0, i))));
     }
 
     #[test]
@@ -699,8 +660,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Every mutation leaves the CSR graph equal to a `BTreeSet`
-        /// adjacency model, to a `from_edges` rebuild of itself, and within
-        /// the compaction bound.
+        /// adjacency model and to a `from_edges` rebuild of itself, and
+        /// leaves no more room behind than it has in use.
         #[test]
         fn csr_graph_tracks_a_set_model((n, init, ops) in arb_history()) {
             let mut g = Graph::from_edges(n, init.iter().copied());
@@ -751,8 +712,8 @@ mod tests {
                         prop_assert_eq!(g.attach(v, &ws), added);
                     }
                 }
-                prop_assert_eq!(g.abandoned, abandoned(&g));
-                prop_assert!(g.abandoned <= 2 * g.m(), "{} abandoned, m = {}", g.abandoned, g.m());
+                let cap: usize = g.slots.iter().map(|s| s.cap).sum();
+                prop_assert!(unused(&g) <= cap, "{} unused, capacity {}", unused(&g), cap);
             }
             let mut m = 0;
             for v in g.nodes() {
