@@ -185,6 +185,10 @@ impl Graph {
     /// Build a graph node by node: `fill(v, out)` appends `v`'s neighbors
     /// to `out`, in any order and without duplicates. The caller guarantees
     /// symmetry (`w` is listed for `v` iff `v` is listed for `w`).
+    ///
+    /// Unlike [`Graph::from_edges`], this holds no edge list beside the
+    /// array while it builds. That list takes as much memory as the
+    /// finished graph: 8 bytes per edge, against 4 per list entry.
     pub(crate) fn from_lists(n: usize, mut fill: impl FnMut(Node, &mut Vec<Node>)) -> Self {
         let mut g = Graph::empty(n);
         for v in g.nodes() {
