@@ -229,6 +229,12 @@ echo "$SERVE_OUT" | grep -F "session: outcome=client-shutdown" >/dev/null \
     || { echo "service should exit via client shutdown" >&2; exit 1; }
 echo "$SERVE_OUT" | grep -F "legitimate=true" >/dev/null \
     || { echo "service must settle legitimate before exit" >&2; exit 1; }
+# The --metrics table lists the telemetry track: one row per applied
+# mutation, in order (the bootstrap is reported on its own line).
+TABLE_KINDS="$(echo "$SERVE_OUT" | awk '/^per-event recovery:/ {t = 1; next}
+    t && !/^  / {t = 0} t && $1 ~ /^[0-9]+$/ {print $2}' | paste -sd' ')"
+[ "$TABLE_KINDS" = "edge-down node-leave node-join" ] \
+    || { echo "--metrics table should list the script's three mutations, got '$TABLE_KINDS'" >&2; exit 1; }
 grep -F '"format":"selfstab-snapshot/v1"' "$PROFILE_DIR/service-snap.json" >/dev/null \
     || { echo "shutdown should flush a versioned snapshot" >&2; exit 1; }
 
@@ -332,9 +338,10 @@ if cargo run --release -p selfstab-cli --bin selfstab-cli -- serve \
 fi
 
 echo "==> analyze --window smoke (service artifact: rolling tables, bound gate, exit codes)"
+# --metrics and --profile-out share one read of the telemetry track.
 cargo run --release -p selfstab-cli --bin selfstab-cli -- serve \
     --protocol smm --topology cycle --n 6 --script "$PROFILE_DIR/service-script.jsonl" \
-    --profile-out "$PROFILE_DIR/service-profile.jsonl" >/dev/null \
+    --metrics --profile-out "$PROFILE_DIR/service-profile.jsonl" >/dev/null \
     || { echo "profiled service session should exit 0" >&2; exit 1; }
 WINDOW_OUT="$(cargo run --release -p selfstab-cli --bin selfstab-cli -- \
     analyze "$PROFILE_DIR/service-profile.jsonl" --window 2)" \

@@ -4,7 +4,10 @@
 //! from a master seed with SplitMix64, so cells are independent,
 //! reproducible in isolation, and stable when the sweep grid changes shape.
 
-/// One SplitMix64 step: a high-quality 64-bit mixer.
+/// One SplitMix64 step: a high-quality 64-bit mixer (Steele et al., "Fast
+/// splittable pseudorandom number generators"). The workspace's one copy:
+/// seeds, fault and adversary fates, and SMM's `Hashed` choice all use it.
+#[inline]
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -188,17 +188,15 @@ fn sniff_service(text: &str) -> bool {
         })
 }
 
-/// One row of the service analysis: an event record, drawn from the
-/// telemetry track when present (has drain latency and queue depth) or
-/// the meta `service_events` spine otherwise.
+/// One row of the service analysis: one `service-telemetry` track line.
 struct ServiceRow {
     seq: u64,
     kind: String,
     recovery_rounds: u64,
     moves: u64,
     perturbed: u64,
-    drain_micros: Option<u64>,
-    queue_depth: Option<u64>,
+    drain_micros: u64,
+    queue_depth: u64,
     converged: bool,
 }
 
@@ -215,8 +213,8 @@ impl ServiceRow {
             recovery_rounds: get("recovery_rounds").unwrap_or(0),
             moves: get("moves").unwrap_or(0),
             perturbed: get("perturbed").unwrap_or(0),
-            drain_micros: get("drain_micros"),
-            queue_depth: get("queue_depth"),
+            drain_micros: get("drain_micros").unwrap_or(0),
+            queue_depth: get("queue_depth").unwrap_or(0),
             converged: j.get("converged").and_then(Json::as_bool).unwrap_or(false),
         }
     }
@@ -243,8 +241,7 @@ fn analyze_service(path: &str, text: &str, args: &Args) -> Result<(String, bool)
     let mut protocol = None;
     let mut topology = None;
     let (mut n, mut m) = (None, None);
-    let mut spine: Vec<Json> = Vec::new();
-    let mut track: Vec<ServiceRow> = Vec::new();
+    let mut rows: Vec<ServiceRow> = Vec::new();
     let mut dropped = 0u64;
     let mut track_format = None;
     let mut clients: Vec<(u64, u64)> = Vec::new();
@@ -266,11 +263,6 @@ fn analyze_service(path: &str, text: &str, args: &Args) -> Result<(String, bool)
                     .map(str::to_string);
                 n = event.get("n").and_then(Json::as_u64);
                 m = event.get("m").and_then(Json::as_u64);
-                spine = event
-                    .get("service_events")
-                    .and_then(Json::as_array)
-                    .map(<[Json]>::to_vec)
-                    .unwrap_or_default();
                 dropped = event
                     .get("telemetry_dropped")
                     .and_then(Json::as_u64)
@@ -294,7 +286,7 @@ fn analyze_service(path: &str, text: &str, args: &Args) -> Result<(String, bool)
                     })
                     .unwrap_or_default();
             }
-            Some("service-telemetry") => track.push(ServiceRow::parse(&event)),
+            Some("service-telemetry") => rows.push(ServiceRow::parse(&event)),
             // Observer round/move lines may interleave; they carry no
             // per-event semantics here.
             _ => {}
@@ -311,24 +303,13 @@ fn analyze_service(path: &str, text: &str, args: &Args) -> Result<(String, bool)
         out.push_str(&format!(" (n={n}, m={m})"));
     }
     if let Some(fmt) = &track_format {
-        out.push_str(&format!("\ntelemetry track: {fmt}, {} row(s)", track.len()));
+        out.push_str(&format!("\ntelemetry track: {fmt}, {} row(s)", rows.len()));
         if dropped > 0 {
             out.push_str(&format!(" ({dropped} oldest dropped at the ring cap)"));
         }
     }
     out.push('\n');
 
-    // Rows: the telemetry track when recorded, else the event spine
-    // (skipping the seq-0 bootstrap, which is not an ingested event).
-    let rows: Vec<ServiceRow> = if track.is_empty() {
-        spine
-            .iter()
-            .map(ServiceRow::parse)
-            .filter(|r| r.seq > 0)
-            .collect()
-    } else {
-        track
-    };
     if rows.is_empty() {
         out.push_str("no service events recorded\n");
         return Ok((out, true));
@@ -367,22 +348,10 @@ fn analyze_service(path: &str, text: &str, args: &Args) -> Result<(String, bool)
     for (w, rows) in rows.chunks(chunk).enumerate() {
         let hist = Histogram::of(rows.iter().map(|r| r.recovery_rounds as usize));
         let moves: u64 = rows.iter().map(|r| r.moves).sum();
-        let drains: Vec<u64> = rows.iter().filter_map(|r| r.drain_micros).collect();
-        let drain = if drains.is_empty() {
-            "—".to_string()
-        } else {
-            format!(
-                "{:.1}",
-                drains.iter().sum::<u64>() as f64 / drains.len() as f64
-            )
-        };
-        let queue = rows
-            .iter()
-            .filter_map(|r| r.queue_depth)
-            .max()
-            .map_or_else(|| "—".to_string(), |q| q.to_string());
+        let drain = rows.iter().map(|r| r.drain_micros).sum::<u64>() as f64 / rows.len() as f64;
+        let queue = rows.iter().map(|r| r.queue_depth).max().unwrap_or(0);
         out.push_str(&format!(
-            "| {w} | {} | {} | {} | {} | {moves} | {drain} | {queue} |\n",
+            "| {w} | {} | {} | {} | {} | {moves} | {drain:.1} | {queue} |\n",
             hist.total(),
             hist.quantile(0.5).unwrap_or(0),
             hist.quantile(0.99).unwrap_or(0),
@@ -748,8 +717,7 @@ mod tests {
             "{\"event\":\"meta\",\"mode\":\"service\",\"protocol\":\"SMM\",",
             "\"topology\":\"path\",\"n\":8,\"m\":7,",
             "\"telemetry_format\":\"service-telemetry/v1\",\"telemetry_dropped\":0,",
-            "\"telemetry_clients\":[{\"client\":1,\"requests\":3},{\"client\":2,\"requests\":1}],",
-            "\"service_events\":[]}\n",
+            "\"telemetry_clients\":[{\"client\":1,\"requests\":3},{\"client\":2,\"requests\":1}]}\n",
         )
         .to_string();
         for seq in 1..=4u64 {

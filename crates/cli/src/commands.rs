@@ -108,8 +108,9 @@ USAGE:
                   --snapshot-out always captures a legitimate configuration.
                   --metrics appends the per-event recovery table (rounds and
                   moves per mutation); --profile-out writes the JSONL spine
-                  with per-event records in the meta line plus the rolling
-                  service-telemetry/v1 track (one line per drained event).
+                  plus the service-telemetry/v1 track (one line per drained
+                  event). Both read the one bounded event track, which keeps
+                  the newest 65536 events and counts the ones it dropped.
                   --telemetry-addr binds a std-only TCP listener serving
                   the live registry in Prometheus text exposition (the
                   same numbers as the {\"op\":\"query\",\"what\":\"telemetry\"}

@@ -18,7 +18,7 @@ use selfstab_engine::obs::JsonlEventLog;
 use selfstab_engine::protocol::{InitialState, WireState};
 use selfstab_graph::Graph;
 use selfstab_json::{Json, ToJson};
-use selfstab_service::telemetry::TRACK_FORMAT;
+use selfstab_service::telemetry::{TrackRow, TRACK_FORMAT};
 use selfstab_service::{
     serve_with as serve_loop, OverlayProtocol, OverlayService, ScrapeServer, ServeHooks,
     ServeSummary, ShutdownFlag, SimClock, SimTransport, Snapshot, SnapshotCadence,
@@ -123,10 +123,11 @@ where
     let mut jsonl = args.get("profile-out").map(|_| JsonlEventLog::new());
 
     // The registry exists whenever anything consumes it: a scrape listener
-    // (--telemetry-addr) or the profile artifact's telemetry track
-    // (--profile-out). With neither, the drain path stays unobserved and
-    // clock-free.
-    let telemetry = (args.get("telemetry-addr").is_some() || jsonl.is_some())
+    // (--telemetry-addr), or its event track (the --metrics table and the
+    // --profile-out artifact). Otherwise the drain path stays unobserved
+    // and clock-free.
+    let metrics = args.bool_flag("metrics");
+    let telemetry = (args.get("telemetry-addr").is_some() || jsonl.is_some() || metrics)
         .then(|| Arc::new(Telemetry::new()));
     let scrape = match args.get("telemetry-addr") {
         Some(addr) => {
@@ -213,7 +214,15 @@ where
         _ => return Err("serve needs exactly one backend: --script FILE or --socket PATH".into()),
     };
 
-    render_outcome(&mut report, &svc, &summary, args);
+    render_outcome(&mut report, &svc, &summary);
+    // One read of the track serves both the table and the artifact.
+    let (track, dropped) = telemetry
+        .as_ref()
+        .map(|registry| registry.take_track())
+        .unwrap_or_default();
+    if metrics {
+        render_track(&mut report, &track, dropped);
+    }
 
     if let Some(registry) = &telemetry {
         report.push(format!(
@@ -253,18 +262,13 @@ where
                 "rules".to_string(),
                 Json::Array(proto.rule_names().iter().map(|r| r.to_json()).collect()),
             ),
-            (
-                "service_events".to_string(),
-                Json::Array(svc.records().iter().map(|r| r.to_json()).collect()),
-            ),
         ];
         if let Some(registry) = &telemetry {
-            // The rolling telemetry track rides inside the same artifact:
-            // one `service-telemetry` event line per drained event, plus
+            // The telemetry track rides inside the same artifact: one
+            // `service-telemetry` event line per drained event, plus
             // provenance fields in the meta line for `analyze --window`.
-            let (rows, dropped) = registry.take_track();
-            for row in rows {
-                if let Json::Object(fields) = row {
+            for row in &track {
+                if let Json::Object(fields) = row.to_json() {
                     log.push_event("service-telemetry", fields);
                 }
             }
@@ -360,7 +364,6 @@ fn render_outcome<P: OverlayProtocol>(
     report: &mut Vec<String>,
     svc: &OverlayService<'_, P>,
     summary: &ServeSummary,
-    args: &Args,
 ) {
     report.push(format!(
         "session: outcome={} requests={} mutations={} queries={} errors={} drained={}",
@@ -387,25 +390,24 @@ fn render_outcome<P: OverlayProtocol>(
         h.quantile(0.99).unwrap_or(0),
         h.max_value().unwrap_or(0)
     ));
-    if args.bool_flag("metrics") {
-        report.push("per-event recovery:".to_string());
+}
+
+/// The `--metrics` table: the telemetry track's newest events, one row
+/// each, after the count of older events the track dropped.
+fn render_track(report: &mut Vec<String>, track: &[TrackRow], dropped: u64) {
+    report.push(format!(
+        "per-event recovery: rows={} dropped={dropped}",
+        track.len()
+    ));
+    report.push(format!(
+        "  {:>4}  {:<10}  {:>6}  {:>9}  {:>8}  {:>6}  conv",
+        "seq", "kind", "round", "perturbed", "recovery", "moves"
+    ));
+    for TrackRow { event: r, .. } in track {
         report.push(format!(
-            "  {:>4}  {:<10}  {:>6}  {:>9}  {:>8}  {:>6}  {:<5}  detail",
-            "seq", "kind", "round", "perturbed", "recovery", "moves", "conv"
+            "  {:>4}  {:<10}  {:>6}  {:>9}  {:>8}  {:>6}  {}",
+            r.seq, r.kind, r.round, r.perturbed, r.recovery_rounds, r.moves, r.converged
         ));
-        for r in svc.records() {
-            report.push(format!(
-                "  {:>4}  {:<10}  {:>6}  {:>9}  {:>8}  {:>6}  {:<5}  {}",
-                r.seq,
-                r.kind,
-                r.round,
-                r.perturbed,
-                r.recovery_rounds,
-                r.moves,
-                r.converged,
-                r.detail
-            ));
-        }
     }
 }
 
@@ -448,6 +450,71 @@ pub fn client(args: &Args) -> Result<String, String> {
 
 #[cfg(test)]
 mod tests {
+    #[test]
+    fn metrics_table_and_profile_track_share_one_read_of_the_track() {
+        let dir = std::env::temp_dir();
+        let tmp = |name: &str| dir.join(format!("selfstab-serve-{}-{name}", std::process::id()));
+        let (script, profile) = (tmp("track.jsonl"), tmp("track-profile.jsonl"));
+        std::fs::write(
+            &script,
+            concat!(
+                "{\"op\":\"mutate\",\"kind\":\"edge-down\",\"a\":0,\"b\":1}\n",
+                "{\"op\":\"mutate\",\"kind\":\"node-leave\",\"v\":3}\n",
+                "{\"op\":\"mutate\",\"kind\":\"node-join\",\"v\":3,\"attach\":[2,4]}\n",
+                "{\"op\":\"query\",\"what\":\"census\"}\n",
+                "{\"op\":\"shutdown\"}\n",
+            ),
+        )
+        .unwrap();
+        let argv: Vec<String> = [
+            "serve",
+            "--protocol",
+            "smm",
+            "--topology",
+            "cycle",
+            "--n",
+            "6",
+            "--script",
+            script.to_str().unwrap(),
+            "--metrics",
+            "--profile-out",
+            profile.to_str().unwrap(),
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        let mut out = Vec::new();
+        let code = crate::main_with(&argv, &mut out);
+        let artifact = std::fs::read_to_string(&profile).unwrap_or_default();
+        let _ = std::fs::remove_file(&script);
+        let _ = std::fs::remove_file(&profile);
+        let out = String::from_utf8(out).unwrap();
+        assert_eq!(code, 0, "{out}");
+
+        // Table rows: the lines under the header whose first field is a seq.
+        let table: Vec<&str> = out
+            .lines()
+            .skip_while(|l| !l.starts_with("per-event recovery:"))
+            .skip(1)
+            .take_while(|l| l.starts_with("  "))
+            .filter(|l| {
+                l.split_whitespace()
+                    .next()
+                    .is_some_and(|seq| seq.parse::<u64>().is_ok())
+            })
+            .collect();
+        let kinds: Vec<&str> = table
+            .iter()
+            .filter_map(|l| l.split_whitespace().nth(1))
+            .collect();
+        assert_eq!(kinds, ["edge-down", "node-leave", "node-join"], "{out}");
+        let track_lines = artifact
+            .lines()
+            .filter(|l| l.contains("\"event\":\"service-telemetry\""))
+            .count();
+        assert_eq!(track_lines, table.len(), "{artifact}");
+    }
+
     #[test]
     fn serve_rejects_flags_it_does_not_read() {
         let script = std::env::temp_dir().join(format!(

@@ -32,6 +32,7 @@
 
 use rand::rngs::StdRng;
 use rand::RngExt;
+use selfstab_engine::adversary::splitmix64;
 use selfstab_engine::protocol::{Move, Protocol, View};
 use selfstab_graph::predicates::is_maximal_independent_set;
 use selfstab_graph::{Graph, Node};
@@ -59,13 +60,6 @@ impl FromJson for AnonState {
             seed: u64::from_json(value.field("seed")?)?,
         })
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// The current fight priority of a state.

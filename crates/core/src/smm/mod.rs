@@ -30,6 +30,7 @@ pub mod types;
 
 use rand::rngs::StdRng;
 use rand::RngExt;
+use selfstab_engine::adversary::splitmix64;
 use selfstab_engine::protocol::{Move, Protocol, View, WireError, WireState};
 use selfstab_graph::predicates::is_maximal_matching;
 use selfstab_graph::{Edge, Graph, Ids, Node};
@@ -107,13 +108,6 @@ pub enum SelectPolicy {
     /// (chooser, candidate) ID pair. Deterministic and time-invariant, but
     /// uncorrelated with the ID order.
     Hashed,
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 impl SelectPolicy {

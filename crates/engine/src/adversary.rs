@@ -34,16 +34,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selfstab_graph::{Graph, Node};
 
-/// splitmix64: the same finalizer the runtime's `FaultPlan` uses for frame
-/// fates — one multiply-xor-shift chain, uniform enough for fault decisions
-/// and trivially portable.
-#[inline]
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+// Re-exported for `selfstab-core` and `selfstab-runtime`, which hash with
+// it but do not depend on `selfstab-analysis`.
+pub use selfstab_analysis::seeds::splitmix64;
 
 /// Map a hash to `[0, 1)` using the top 53 bits (exactly representable).
 #[inline]

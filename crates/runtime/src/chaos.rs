@@ -27,16 +27,16 @@
 //! ghost is known-stale, any delayed frame is still buffered, or any crash
 //! is still scheduled. See `DESIGN.md` §9.
 
+use selfstab_core::partition::Partition;
 use selfstab_engine::active::Schedule;
-use selfstab_engine::adversary::{AsymPlan, ByzPlan, ByzStrategy};
+use selfstab_engine::adversary::{splitmix64, AsymPlan, ByzPlan, ByzStrategy};
 use selfstab_engine::chaos::{ChaosRun, ChurnSchedule};
-use selfstab_engine::obs::Observer;
+use selfstab_engine::obs::{Observer, RoundStats};
 use selfstab_engine::protocol::{InitialState, Protocol, WireState};
-use selfstab_engine::sync::Run;
+use selfstab_engine::sync::{Outcome, Run};
 use selfstab_graph::{Graph, Node};
 
-use crate::executor::RuntimeError;
-use crate::session::ResidentSession;
+use crate::executor::{RuntimeError, RuntimeExecutor};
 
 /// What the chaos layer decided to do with one outbound beacon frame.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -480,28 +480,48 @@ impl FaultPlan {
     }
 }
 
-/// The splitmix64 output function: a cheap, statistically solid bijection
-/// on u64 (Steele et al., "Fast splittable pseudorandom number
-/// generators"). Used as a stateless hash so fault decisions need no RNG
-/// object and no ordering between workers.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// Forwards observer hooks with the round index shifted by the absolute
+/// round of the current convergence wave, and swallows per-wave
+/// `on_finish` calls (the driver fires the real one once, at the end).
+struct OffsetObserver<'a, O> {
+    inner: &'a mut O,
+    base: usize,
+}
+
+impl<S, O: Observer<S>> Observer<S> for OffsetObserver<'_, O> {
+    const ENABLED: bool = O::ENABLED;
+
+    fn on_round_start(&mut self, round: usize, states: &[S]) {
+        self.inner.on_round_start(self.base + round, states);
+    }
+
+    fn on_move(&mut self, node: Node, rule: usize, next: &S) {
+        self.inner.on_move(node, rule, next);
+    }
+
+    fn on_round_end(&mut self, stats: &RoundStats, states: &[S]) {
+        let mut shifted = stats.clone();
+        shifted.round += self.base;
+        self.inner.on_round_end(&shifted, states);
+    }
+
+    fn on_finish(&mut self, _outcome: &Outcome, _states: &[S]) {}
 }
 
 /// Sharded execution under live topology churn (and, optionally, a frame/
 /// crash [`FaultPlan`] on top).
 ///
 /// The run is segmented at churn boundaries pulled from the schedule's
-/// [`ChurnFeed`] cursor: each segment is one convergence wave of a
-/// [`ResidentSession`] (graph, states, and partition stay resident; the
-/// fault plan's round offset and the observer's round indices advance on
-/// the absolute clock across segments). Between waves the feed's
-/// connectivity-preserving [`TopologyEvent`]s mutate the session's graph;
-/// every wave starts from a full active worklist, a sound superset of the
-/// churned endpoints' closed neighborhoods.
+/// [`ChurnFeed`] cursor: each segment is one convergence wave of a fresh
+/// [`RuntimeExecutor`]. The graph, the states and the partition stay
+/// resident across waves: the partition is computed once, because the
+/// node→shard map depends on node identity only and edge churn on a fixed
+/// node set never invalidates it. The fault plan's round offset and the
+/// observer's round indices advance on the absolute clock, so the waves
+/// report one continuous timeline. Between waves the feed's
+/// connectivity-preserving [`TopologyEvent`]s mutate the graph; every wave
+/// starts from a full active worklist, a sound superset of the churned
+/// endpoints' closed neighborhoods.
 ///
 /// Semantics (outcome, rounds, final states) match the serial reference
 /// [`selfstab_engine::chaos::run_churned_serial`] exactly when no fault
@@ -528,15 +548,37 @@ where
     let mut feed = churn
         .feed()
         .map_err(|reason| RuntimeError::InvalidPlan { reason })?;
-    let mut session = ResidentSession::new(graph, proto, shards, schedule, channel_cap, init);
+    let mut graph = graph.clone();
+    let mut states = init.materialize(&graph, proto);
+    let partition = Partition::coarsened(&graph, shards);
+    let mut moves_per_rule = vec![0u64; proto.rule_names().len()];
+    let mut clock = 0usize;
 
     let outcome = loop {
-        let remaining = max_rounds - session.clock();
+        let remaining = max_rounds - clock;
         let budget = match feed.next_boundary() {
-            Some(b) => (b - session.clock()).min(remaining),
+            Some(b) => (b - clock).min(remaining),
             None => remaining,
         };
-        let outcome = session.converge(budget, fault, obs)?;
+        let mut exec = RuntimeExecutor::from_partition(&graph, proto, partition.clone())
+            .with_schedule(schedule);
+        if let Some(cap) = channel_cap {
+            exec = exec.with_channel_cap(cap);
+        }
+        if let Some(f) = fault {
+            exec = exec.with_chaos(f.clone().with_round_offset(clock));
+        }
+        let mut wave_obs = OffsetObserver {
+            inner: obs,
+            base: clock,
+        };
+        let run = exec.run_observed(InitialState::Explicit(states), budget, &mut wave_obs)?;
+        for (acc, &m) in moves_per_rule.iter_mut().zip(&run.moves_per_rule) {
+            *acc += m;
+        }
+        states = run.final_states;
+        clock += run.rounds;
+        let outcome = run.outcome;
 
         let boundary = match feed.next_boundary() {
             // Final stretch, or the next boundary is beyond the budget: the
@@ -550,16 +592,16 @@ where
         // the quiescent gap (those rounds are move-free by definition); a
         // budget-capped RoundLimit simply reached the boundary with moves
         // still pending.
-        session.advance_clock_to(boundary);
-        feed.next_events(boundary, session.graph_mut());
+        debug_assert!(boundary >= clock, "the round clock only advances");
+        clock = boundary;
+        feed.next_events(boundary, &mut graph);
     };
-    obs.on_finish(&outcome, session.states());
-    let (graph, final_states, moves_per_rule, rounds) = session.into_parts();
+    obs.on_finish(&outcome, &states);
     let last_fault_round = feed.last_fault_round();
     Ok(ChaosRun {
         run: Run {
-            final_states,
-            rounds,
+            final_states: states,
+            rounds: clock,
             moves_per_rule,
             outcome,
             trace: None,

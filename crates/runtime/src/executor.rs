@@ -268,7 +268,7 @@ where
     /// New executor over a precomputed shard assignment, skipping the
     /// O(n+m) coarsening run entirely. The node→shard map is a function of
     /// node identity only, so a partition stays valid across edge churn on
-    /// a fixed node set — resident sessions reuse one across many waves
+    /// a fixed node set — `run_churned_sharded` reuses one across many waves
     /// (send/receive plans are still re-derived from the current graph
     /// each run).
     ///

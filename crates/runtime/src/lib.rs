@@ -27,11 +27,9 @@ pub mod barrier;
 pub mod channel;
 pub mod chaos;
 pub mod executor;
-pub mod session;
 pub mod wire;
 
 pub use barrier::{PoisonBarrier, Poisoned};
 pub use chaos::{run_churned_sharded, CrashSpec, FaultPlan, FrameFate};
 pub use executor::{assert_matches_sync, RuntimeError, RuntimeExecutor, DEFAULT_CHANNEL_CAP};
-pub use session::ResidentSession;
 pub use wire::{frame_extent, Beacon, HEADER_LEN, WIRE_VERSION};

@@ -63,23 +63,6 @@ pub struct ServeSummary {
     pub outcome: ServeOutcome,
 }
 
-fn mutate_response(record: &EventRecord, tag: Option<&str>) -> Json {
-    crate::proto::resp_ok(
-        vec![
-            ("seq".to_string(), record.seq.to_json()),
-            ("round".to_string(), record.round.to_json()),
-            ("perturbed".to_string(), record.perturbed.to_json()),
-            (
-                "recovery_rounds".to_string(),
-                record.recovery_rounds.to_json(),
-            ),
-            ("moves".to_string(), record.moves.to_json()),
-            ("converged".to_string(), record.converged.to_json()),
-        ],
-        tag,
-    )
-}
-
 /// Optional live instrumentation threaded through [`serve_with`]: a
 /// telemetry registry (shared with the scrape listener) and a background
 /// snapshot scheduler. The default — both absent — is the plain [`serve`]
@@ -281,7 +264,7 @@ fn apply_mutation<P: OverlayProtocol, O: Observer<P::State>>(
         last = Some(r);
     }
     match last {
-        Some(Ok(record)) => mutate_response(&record, tag),
+        Some(Ok(record)) => crate::proto::resp_ok(fields(record.to_json()), tag),
         Some(Err(e)) => crate::proto::resp_err(&e, tag),
         None => crate::proto::resp_err("mutation queue empty after drain", tag),
     }
@@ -305,9 +288,14 @@ fn answer<P: OverlayProtocol>(
         QueryKind::Latency => svc.latency_json(),
         QueryKind::Telemetry => svc.telemetry_json()?,
     };
+    Ok(fields(body))
+}
+
+/// A reply body's fields: an object's own, anything else as `result`.
+fn fields(body: Json) -> Vec<(String, Json)> {
     match body {
-        Json::Object(fields) => Ok(fields),
-        other => Ok(vec![("result".to_string(), other)]),
+        Json::Object(fields) => fields,
+        other => vec![("result".to_string(), other)],
     }
 }
 
@@ -363,6 +351,28 @@ mod tests {
 
         let bye = Json::parse(&replies[4]).unwrap();
         assert_eq!(bye.get("tag").and_then(Json::as_str), Some("bye"));
+    }
+
+    #[test]
+    fn a_mutate_reply_is_ok_plus_the_event_record_plus_the_tag() {
+        let (replies, _) =
+            run_script(&[r#"{"op":"mutate","kind":"edge-down","a":2,"b":3,"tag":"m1"}"#]);
+        // The same event, applied to an identical service.
+        let smm = Smm::paper(Ids::identity(6));
+        let clock = SimClock::new();
+        let mut svc = OverlayService::new(generators::path(6), &smm, InitialState::Default, 0);
+        svc.stabilize(&clock, &mut ());
+        svc.enqueue(Mutation::EdgeDown { a: 2, b: 3 });
+        let record = svc.drain(&clock, &mut ()).pop().unwrap().unwrap();
+        let Json::Object(event) = record.to_json() else {
+            panic!("an event record renders as an object");
+        };
+        let mut expected = vec![("ok".to_string(), true.to_json())];
+        expected.extend(event);
+        expected.push(("tag".to_string(), "m1".to_json()));
+        let reply = Json::parse(&replies[0]).unwrap();
+        assert_eq!(reply.as_object(), Some(&expected[..]));
+        assert_eq!(reply.get("kind").and_then(Json::as_str), Some("edge-down"));
     }
 
     #[test]

@@ -73,16 +73,6 @@ impl Mutation {
             Mutation::NodeJoin { .. } => "node-join",
         }
     }
-
-    /// A short human-readable rendering (for event logs and tables).
-    pub fn describe(&self) -> String {
-        match self {
-            Mutation::EdgeUp { a, b } => format!("edge-up {a}-{b}"),
-            Mutation::EdgeDown { a, b } => format!("edge-down {a}-{b}"),
-            Mutation::NodeLeave { v } => format!("node-leave {v}"),
-            Mutation::NodeJoin { v, attach } => format!("node-join {v} -> {attach:?}"),
-        }
-    }
 }
 
 /// A read-only query against the live structure.

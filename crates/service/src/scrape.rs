@@ -159,10 +159,9 @@ mod tests {
         let registry = Arc::new(Telemetry::new());
         registry.heartbeat(1000);
         registry.record_event(
-            &EventRecord {
+            EventRecord {
                 seq: 1,
                 kind: "edge-up",
-                detail: "edge-up 0-1".into(),
                 round: 1,
                 perturbed: 2,
                 recovery_rounds: 1,

@@ -41,14 +41,12 @@ use crate::telemetry::{Telemetry, BACKEND};
 /// This is the per-mutation record the paper's Theorems 1/2 bound: the
 /// recovery rounds never exceed the repo's working convergence budget of
 /// `n + 2` rounds, however large the perturbation.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct EventRecord {
     /// 1-based ingest sequence number (0 = the bootstrap convergence).
     pub seq: u64,
     /// Wire `kind` of the mutation (`"bootstrap"` for seq 0).
     pub kind: &'static str,
-    /// Human-readable event description.
-    pub detail: String,
     /// Absolute service round at which the event was applied.
     pub round: usize,
     /// Dirty nodes seeded by the event (size of the perturbed region, plus
@@ -63,12 +61,13 @@ pub struct EventRecord {
 }
 
 impl EventRecord {
-    /// JSON form for the profile/metrics spine.
+    /// The event's fields as one JSON object: the only place they are
+    /// listed. The mutate reply and the telemetry track row are both built
+    /// from it.
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("seq", self.seq.to_json()),
             ("kind", self.kind.to_json()),
-            ("detail", self.detail.to_json()),
             ("round", self.round.to_json()),
             ("perturbed", self.perturbed.to_json()),
             ("recovery_rounds", self.recovery_rounds.to_json()),
@@ -90,9 +89,8 @@ pub struct OverlayService<'a, P: OverlayProtocol> {
     clock_rounds: usize,
     budget_per_event: usize,
     pending: VecDeque<Mutation>,
+    /// Mutations applied so far; the last event's `seq`.
     seq: u64,
-    events_applied: u64,
-    records: Vec<EventRecord>,
     recovery_hist: Histogram,
     moves_per_rule: Vec<u64>,
     /// Live telemetry registry; `None` keeps the drain path clock-free
@@ -121,8 +119,6 @@ impl<'a, P: OverlayProtocol> OverlayService<'a, P> {
             budget_per_event: budget,
             pending: VecDeque::new(),
             seq: 0,
-            events_applied: 0,
-            records: Vec::new(),
             recovery_hist: Histogram::new(),
             moves_per_rule: vec![0; proto.rule_names().len()],
             telemetry: None,
@@ -194,7 +190,7 @@ impl<'a, P: OverlayProtocol> OverlayService<'a, P> {
 
     /// Mutations ingested so far (bootstrap excluded).
     pub fn events_applied(&self) -> u64 {
-        self.events_applied
+        self.seq
     }
 
     /// Mutations enqueued but not yet applied.
@@ -210,11 +206,6 @@ impl<'a, P: OverlayProtocol> OverlayService<'a, P> {
     /// Cumulative moves per protocol rule across the service lifetime.
     pub fn moves_per_rule(&self) -> &[u64] {
         &self.moves_per_rule
-    }
-
-    /// Per-event records, in ingest order (index 0 is the bootstrap).
-    pub fn records(&self) -> &[EventRecord] {
-        &self.records
     }
 
     /// The re-stabilization latency histogram (rounds per event; the
@@ -258,28 +249,25 @@ impl<'a, P: OverlayProtocol> OverlayService<'a, P> {
     }
 
     /// Bootstrap convergence from the initial (or snapshot-restored) state:
-    /// converge the full dirty set under the Theorem 1/2 budget and record it
-    /// as event 0. A restored legitimate snapshot converges in 0 rounds.
+    /// converge the full dirty set under the Theorem 1/2 budget and report
+    /// it as event 0. A restored legitimate snapshot converges in 0 rounds.
     pub fn stabilize<O: Observer<P::State>>(
         &mut self,
         _clock: &dyn Clock,
         obs: &mut O,
-    ) -> &EventRecord {
+    ) -> EventRecord {
         let perturbed = self.kernel.worklist().len();
         let budget = self.graph.n() + 2;
         let (rounds, moves) = self.converge(budget, obs);
-        let record = EventRecord {
+        EventRecord {
             seq: 0,
             kind: "bootstrap",
-            detail: format!("bootstrap n={} m={}", self.graph.n(), self.graph.m()),
             round: self.clock_rounds,
             perturbed,
             recovery_rounds: rounds,
             moves,
             converged: self.converged,
-        };
-        self.records.push(record);
-        self.records.last().expect("just pushed")
+        }
     }
 
     /// Queue a mutation for ingest. Validation happens at apply time, so
@@ -388,7 +376,6 @@ impl<'a, P: OverlayProtocol> OverlayService<'a, P> {
         self.converged = self.kernel.worklist().is_empty();
         let perturbed = self.kernel.worklist().len();
         self.seq += 1;
-        self.events_applied += 1;
         // The only clock reads on the drain path happen here, and only
         // when a telemetry registry is attached — unobserved drains stay
         // clock-free (see the `telemetry` equivalence tests).
@@ -397,7 +384,6 @@ impl<'a, P: OverlayProtocol> OverlayService<'a, P> {
         let record = EventRecord {
             seq: self.seq,
             kind: mutation.kind(),
-            detail: mutation.describe(),
             round: self.clock_rounds,
             perturbed,
             recovery_rounds: rounds,
@@ -405,15 +391,9 @@ impl<'a, P: OverlayProtocol> OverlayService<'a, P> {
             converged: self.converged,
         };
         self.recovery_hist.add(rounds);
-        self.records.push(record.clone());
-        if let (Some(telemetry), Some(started)) = (self.telemetry.clone(), drain_started) {
+        if let (Some(telemetry), Some(started)) = (&self.telemetry, drain_started) {
             let now = clock.now_micros();
-            telemetry.record_event(
-                &record,
-                now.saturating_sub(started),
-                now,
-                self.pending.len(),
-            );
+            telemetry.record_event(record, now.saturating_sub(started), now, self.pending.len());
         }
         Ok(record)
     }
@@ -436,7 +416,7 @@ impl<'a, P: OverlayProtocol> OverlayService<'a, P> {
             ("n", self.graph.n().to_json()),
             ("m", self.graph.m().to_json()),
             ("clock_rounds", self.clock_rounds.to_json()),
-            ("events", self.events_applied.to_json()),
+            ("events", self.seq.to_json()),
             ("pending", self.pending.len().to_json()),
             ("converged", self.converged.to_json()),
             (

@@ -25,8 +25,13 @@
 //! equivalence test pins zero `now_micros` calls on the unobserved drain
 //! path). With telemetry attached, recording one event costs two clock
 //! reads, a handful of relaxed atomic adds, and one short mutex section.
+//!
+//! **The track.** The registry also keeps the newest [`TRACK_CAP`] events
+//! as plain [`TrackRow`]s in a ring, the daemon's only per-event store.
+//! Nothing is rendered while the daemon runs: the CLI takes the rows once,
+//! at shutdown, for the `--metrics` table and the profile artifact.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -44,12 +49,12 @@ pub const WINDOW_SAMPLES: usize = 512;
 /// sample outweighs one `HALF_LIFE` positions back by 2×.
 pub const DECAY_HALF_LIFE: f64 = 64.0;
 
-/// Cap on the buffered `service-telemetry/v1` JSONL track (one row per
-/// event); beyond it rows are dropped oldest-first and counted.
-const TRACK_CAP: usize = 1 << 16;
+/// Cap on the buffered `service-telemetry/v1` track (one row per event);
+/// beyond it rows are dropped oldest-first and counted.
+pub const TRACK_CAP: usize = 1 << 16;
 
 /// Wire format tag for the per-event telemetry rows embedded in profile
-/// artifacts (`event: "service_telemetry"` lines).
+/// artifacts (`event: "service-telemetry"` lines).
 pub const TRACK_FORMAT: &str = "service-telemetry/v1";
 
 /// The drain backend named in the summary labels and track rows. Every
@@ -66,8 +71,40 @@ struct Windows {
     ingest_rate: Option<RateWindow>,
     drain_rate: Option<RateWindow>,
     clients: BTreeMap<u64, u64>,
-    track: Vec<Json>,
+    track: VecDeque<TrackRow>,
     track_dropped: u64,
+}
+
+/// One track row: an applied event plus the drain timing the registry saw
+/// for it. Plain data, so a buffered row owns no heap memory.
+#[derive(Clone, Copy, Debug)]
+pub struct TrackRow {
+    /// The event as [`OverlayService::drain`](crate::OverlayService::drain)
+    /// reported it.
+    pub event: EventRecord,
+    /// Service clock reading after the event's drain.
+    pub t_micros: u64,
+    /// Latency of the event's re-convergence drain.
+    pub drain_micros: u64,
+    /// Mutations still pending after the drain.
+    pub queue_depth: usize,
+}
+
+impl TrackRow {
+    /// The `service-telemetry/v1` row: the event's
+    /// [`EventRecord::to_json`] fields, then the drain timing and backend.
+    pub fn to_json(&self) -> Json {
+        let mut row = self.event.to_json();
+        if let Json::Object(fields) = &mut row {
+            fields.extend([
+                ("t_micros".to_string(), self.t_micros.to_json()),
+                ("drain_micros".to_string(), self.drain_micros.to_json()),
+                ("queue_depth".to_string(), self.queue_depth.to_json()),
+                ("backend".to_string(), BACKEND.to_json()),
+            ]);
+        }
+        row
+    }
 }
 
 impl Windows {
@@ -161,7 +198,7 @@ impl Telemetry {
     /// it; `queue_depth` the post-drain pending count.
     pub fn record_event(
         &self,
-        record: &EventRecord,
+        record: EventRecord,
         drain_micros: u64,
         now_micros: u64,
         queue_depth: usize,
@@ -177,22 +214,16 @@ impl Telemetry {
         Windows::rolling(&mut w.moves).push(record.moves);
         Windows::rolling(&mut w.drain_micros).push(drain_micros);
         Windows::rate(&mut w.drain_rate).mark(now_micros);
-        if w.track.len() >= TRACK_CAP {
-            w.track.remove(0);
+        if w.track.len() == TRACK_CAP {
+            w.track.pop_front();
             w.track_dropped += 1;
         }
-        w.track.push(Json::obj([
-            ("seq", record.seq.to_json()),
-            ("t_micros", now_micros.to_json()),
-            ("kind", record.kind.to_json()),
-            ("recovery_rounds", record.recovery_rounds.to_json()),
-            ("moves", record.moves.to_json()),
-            ("perturbed", record.perturbed.to_json()),
-            ("drain_micros", drain_micros.to_json()),
-            ("queue_depth", queue_depth.to_json()),
-            ("backend", BACKEND.to_json()),
-            ("converged", record.converged.to_json()),
-        ]));
+        w.track.push_back(TrackRow {
+            event: record,
+            t_micros: now_micros,
+            drain_micros,
+            queue_depth,
+        });
     }
 
     /// A background snapshot was written at `at_micros`, taking
@@ -243,13 +274,12 @@ impl Telemetry {
         Self::get(&self.snapshots_total)
     }
 
-    /// Drain and return the buffered `service-telemetry/v1` rows (oldest
-    /// first) plus the count of rows dropped to the buffer cap. The CLI
-    /// calls this once at shutdown to embed the track in the profile
-    /// artifact.
-    pub fn take_track(&self) -> (Vec<Json>, u64) {
+    /// Drain and return the buffered track rows (oldest first) plus the
+    /// count of rows dropped at [`TRACK_CAP`]. The CLI calls this once at
+    /// shutdown, for both the `--metrics` table and the profile artifact.
+    pub fn take_track(&self) -> (Vec<TrackRow>, u64) {
         let mut w = self.windows.lock().expect("telemetry windows");
-        (std::mem::take(&mut w.track), w.track_dropped)
+        (std::mem::take(&mut w.track).into(), w.track_dropped)
     }
 
     /// Per-client request counts (fairness), client id → requests.
@@ -536,7 +566,6 @@ mod tests {
         EventRecord {
             seq,
             kind: "edge-down",
-            detail: format!("edge-down {seq}"),
             round: rounds,
             perturbed: 4,
             recovery_rounds: rounds,
@@ -551,7 +580,7 @@ mod tests {
         t.heartbeat(1_000_000);
         t.record_ingest(10);
         t.record_request(1);
-        t.record_event(&record(1, 2, 3, true), 150, 500, 0);
+        t.record_event(record(1, 2, 3, true), 150, 500, 0);
         let text = t.render_prometheus();
         for needle in [
             "# TYPE selfstab_events_total counter",
@@ -581,7 +610,7 @@ mod tests {
         let t = Telemetry::new();
         t.heartbeat(2_000_000);
         for i in 1..=5 {
-            t.record_event(&record(i, i as usize, 2 * i, true), 100 * i, 0, 1);
+            t.record_event(record(i, i as usize, 2 * i, true), 100 * i, 0, 1);
         }
         t.record_snapshot(1_500_000, 42, 1000);
         let text = t.render_prometheus();
@@ -609,18 +638,33 @@ mod tests {
     #[test]
     fn track_buffers_and_drains_rows() {
         let t = Telemetry::new();
-        t.record_event(&record(1, 1, 1, true), 10, 100, 0);
-        t.record_event(&record(2, 1, 1, false), 20, 200, 3);
+        t.record_event(record(1, 1, 1, true), 10, 100, 0);
+        t.record_event(record(2, 1, 1, false), 20, 200, 3);
         let (rows, dropped) = t.take_track();
         assert_eq!(rows.len(), 2);
         assert_eq!(dropped, 0);
-        assert_eq!(rows[1].get("seq").and_then(Json::as_u64), Some(2));
-        assert_eq!(rows[1].get("queue_depth").and_then(Json::as_u64), Some(3));
-        assert_eq!(
-            rows[1].get("converged").and_then(Json::as_bool),
-            Some(false)
-        );
+        assert_eq!(rows[1].event.seq, 2);
+        assert_eq!(rows[1].queue_depth, 3);
+        assert!(!rows[1].event.converged);
+        // The rendered row is the event's fields plus timing and backend.
+        let json = rows[1].to_json();
+        assert_eq!(json.get("seq").and_then(Json::as_u64), Some(2));
+        assert_eq!(json.get("drain_micros").and_then(Json::as_u64), Some(20));
+        assert_eq!(json.get("backend").and_then(Json::as_str), Some("serial"));
         // Drained: a second take is empty.
         assert!(t.take_track().0.is_empty());
+    }
+
+    #[test]
+    fn track_keeps_the_newest_cap_rows_and_counts_the_rest() {
+        let t = Telemetry::new();
+        for seq in 1..=(TRACK_CAP + 3) as u64 {
+            t.record_event(record(seq, 1, 1, true), 1, seq, 0);
+        }
+        let (rows, dropped) = t.take_track();
+        assert_eq!(rows.len(), TRACK_CAP);
+        assert_eq!(dropped, 3);
+        assert_eq!(rows[0].event.seq, 4, "the three oldest rows are evicted");
+        assert_eq!(rows[TRACK_CAP - 1].event.seq, (TRACK_CAP + 3) as u64);
     }
 }

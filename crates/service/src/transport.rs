@@ -11,6 +11,11 @@
 
 use std::collections::VecDeque;
 
+/// Longest request line a socket client may send, in bytes before the
+/// `\n`. A longer line closes that client's connection; the daemon keeps
+/// serving everyone else.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// One poll of the transport.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Polled {
@@ -93,9 +98,9 @@ pub use uds::{uds_client_session, UdsTransport};
 
 #[cfg(unix)]
 mod uds {
-    use super::{Polled, Transport};
+    use super::{Polled, Transport, MAX_LINE_BYTES};
     use std::collections::HashMap;
-    use std::io::{BufRead, BufReader, Write};
+    use std::io::{BufRead, BufReader, Read, Write};
     use std::net::Shutdown;
     use std::os::unix::net::{UnixListener, UnixStream};
     use std::path::{Path, PathBuf};
@@ -267,19 +272,39 @@ mod uds {
         })
     }
 
+    /// Read one line of at most [`MAX_LINE_BYTES`], without its `\n` or a
+    /// trailing `\r` (as `BufRead::lines` strips them). `None` ends the
+    /// connection: end of stream, a read error, an over-long line, or
+    /// invalid UTF-8.
+    fn read_capped_line(reader: &mut impl BufRead) -> Option<String> {
+        let mut buf = Vec::new();
+        // One byte past the cap tells an over-long line from a full one.
+        let limit = MAX_LINE_BYTES as u64 + 1;
+        match reader.take(limit).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => return None,
+            Ok(_) => {}
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+        } else if buf.len() > MAX_LINE_BYTES {
+            return None;
+        }
+        String::from_utf8(buf).ok()
+    }
+
     fn spawn_reader(id: u64, stream: UnixStream, tx: Sender<Event>) -> JoinHandle<()> {
         std::thread::spawn(move || {
             let _ = stream.set_nonblocking(false);
-            let reader = BufReader::new(stream);
-            for line in reader.lines() {
-                match line {
-                    Ok(l) if l.trim().is_empty() => continue,
-                    Ok(l) => {
-                        if tx.send(Event::Line(id, l)).is_err() {
-                            return;
-                        }
-                    }
-                    Err(_) => break,
+            let mut reader = BufReader::new(stream);
+            while let Some(line) = read_capped_line(&mut reader) {
+                if line.trim().is_empty() {
+                    continue;
+                }
+                if tx.send(Event::Line(id, line)).is_err() {
+                    return;
                 }
             }
             let _ = tx.send(Event::Disconnected(id));

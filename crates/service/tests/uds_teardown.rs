@@ -6,11 +6,20 @@
 //! historical deadlock: a client whose `Connected` event was accepted but
 //! never polled is in neither `writers` nor anything the old shutdown
 //! severed, so its reader blocked forever and `join()` hung the daemon.
+//! The over-long-line test pins the reader's line cap: a client that never
+//! sends a newline loses its own connection and nothing else.
 
 #![cfg(unix)]
 
-use selfstab_service::UdsTransport;
-use std::io::{BufRead, BufReader, Write};
+use selfstab_core::Smm;
+use selfstab_engine::protocol::InitialState;
+use selfstab_graph::{generators, Ids};
+use selfstab_json::Json;
+use selfstab_service::transport::MAX_LINE_BYTES;
+use selfstab_service::{
+    serve, uds_client_session, OverlayService, RealClock, ServeOutcome, ShutdownFlag, UdsTransport,
+};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::mpsc;
@@ -122,5 +131,74 @@ fn churn_session_joins_every_reader_and_removes_socket() {
         1 + CLIENTS,
         "acceptor + every reader (live or exited) joined exactly once"
     );
+    assert!(!path.exists(), "socket file removed on shutdown");
+}
+
+/// Run `f` on its own thread and wait at most `deadline` for its result.
+fn within<T: Send + 'static>(deadline: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    let out = rx
+        .recv_timeout(deadline)
+        .expect("missed the watchdog deadline");
+    worker.join().expect("watchdog worker");
+    out
+}
+
+#[test]
+fn an_over_long_line_closes_only_its_own_connection() {
+    let path = socket_path("overlong");
+    let transport = UdsTransport::bind(&path).expect("bind socket");
+    let daemon = std::thread::spawn(move || {
+        let mut transport = transport;
+        let smm = Smm::paper(Ids::identity(6));
+        let clock = RealClock::new();
+        let mut svc = OverlayService::new(generators::path(6), &smm, InitialState::Default, 0);
+        svc.stabilize(&clock, &mut ());
+        let summary = serve(
+            &mut svc,
+            &mut transport,
+            &clock,
+            &ShutdownFlag::new(),
+            0,
+            &mut (),
+        );
+        (summary.outcome, transport.shutdown())
+    });
+
+    // A hostile client sends one byte past the cap and never a newline:
+    // the daemon stops buffering and closes the connection, so the client
+    // reads EOF.
+    let hostile_path = path.clone();
+    let hostile_read = within(Duration::from_secs(30), move || {
+        let mut hostile = UnixStream::connect(&hostile_path).expect("hostile client connects");
+        let _ = hostile.write_all(&vec![b'x'; MAX_LINE_BYTES + 1]);
+        let mut rest = Vec::new();
+        hostile.read_to_end(&mut rest).map(|_| rest.len())
+    });
+    assert_eq!(hostile_read.expect("EOF, not an error"), 0);
+
+    // An honest client is still answered, and can stop the daemon.
+    let honest_path = path.clone();
+    let replies = within(Duration::from_secs(30), move || {
+        let lines = [
+            r#"{"op":"query","what":"status","tag":"honest"}"#.to_string(),
+            r#"{"op":"shutdown"}"#.to_string(),
+        ];
+        let mut replies = Vec::new();
+        uds_client_session(&honest_path, &lines, |r| replies.push(r.to_string())).map(|()| replies)
+    })
+    .expect("honest session");
+    let status = Json::parse(&replies[0]).expect("status reply");
+    assert_eq!(status.get("ok").and_then(Json::as_bool), Some(true));
+    assert_eq!(status.get("tag").and_then(Json::as_str), Some("honest"));
+
+    let (outcome, joined) = within(Duration::from_secs(30), move || {
+        daemon.join().expect("daemon thread")
+    });
+    assert_eq!(outcome, ServeOutcome::ClientShutdown);
+    assert_eq!(joined, 3, "acceptor + both clients' readers joined");
     assert!(!path.exists(), "socket file removed on shutdown");
 }
