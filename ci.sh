@@ -238,7 +238,7 @@ TABLE_KINDS="$(echo "$SERVE_OUT" | awk '/^per-event recovery:/ {t = 1; next}
 grep -F '"format":"selfstab-snapshot/v1"' "$PROFILE_DIR/service-snap.json" >/dev/null \
     || { echo "shutdown should flush a versioned snapshot" >&2; exit 1; }
 
-echo "==> serve flag strictness (a flag serve does not read exits 2 and is named)"
+echo "==> flag strictness (a flag a subcommand does not read exits 2 and is named)"
 # Every service drain runs the serial round kernel; `serve --shards` was
 # removed, and an unread flag must fail loudly instead of running serial.
 UNKNOWN_CODE=0
@@ -249,6 +249,15 @@ UNKNOWN_OUT="$(cargo run --release -p selfstab-cli --bin selfstab-cli -- serve \
     || { echo "serve --shards should exit 2, got $UNKNOWN_CODE" >&2; exit 1; }
 echo "$UNKNOWN_OUT" | grep -F "unknown flag --shards" >/dev/null \
     || { echo "serve should name the unknown flag --shards" >&2; exit 1; }
+# Every subcommand checks its flags the same way: `run --channel-cap` was
+# removed with the mailbox capacity and must fail instead of being ignored.
+UNKNOWN_CODE=0
+UNKNOWN_OUT="$(cargo run --release -p selfstab-cli --bin selfstab-cli -- run \
+    --protocol smm --topology cycle --n 4 --shards 4 --channel-cap 8 2>&1)" || UNKNOWN_CODE=$?
+[ "$UNKNOWN_CODE" -eq 2 ] \
+    || { echo "run --channel-cap should exit 2, got $UNKNOWN_CODE" >&2; exit 1; }
+echo "$UNKNOWN_OUT" | grep -F "unknown flag --channel-cap" >/dev/null \
+    || { echo "run should name the unknown flag --channel-cap" >&2; exit 1; }
 
 echo "==> UDS teardown regression (pending-connection shutdown must not deadlock)"
 cargo test --release -q -p selfstab-service --test uds_teardown \

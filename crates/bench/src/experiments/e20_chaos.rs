@@ -63,7 +63,6 @@ where
                 proto,
                 SHARDS,
                 Schedule::Active,
-                None,
                 plan.as_ref(),
                 sched,
                 init,

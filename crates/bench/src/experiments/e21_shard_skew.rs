@@ -113,7 +113,7 @@ pub fn run(sizes: &[usize], shard_counts: &[usize]) -> Report {
     );
     Report {
         id: "E21",
-        title: "Extension: shard skew and backpressure under the profiling stack",
+        title: "Extension: shard skew and mailbox depth under the profiling stack",
         body,
     }
 }

@@ -423,7 +423,7 @@ fn analyze_service(path: &str, text: &str, args: &Args) -> Result<(String, bool)
 /// `selfstab analyze <artifact.jsonl>`: returns the report and whether all
 /// bound checks passed (false exits the process non-zero).
 pub fn analyze(positional: Option<&str>, args: &Args) -> Result<(String, bool), String> {
-    let path = match positional.or_else(|| args.get("input")) {
+    let path = match positional {
         Some(p) => p.to_string(),
         None => return Err("analyze needs an artifact path: selfstab analyze <run.jsonl>".into()),
     };

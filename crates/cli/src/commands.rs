@@ -31,13 +31,14 @@ USAGE:
                   [--profile [--profile-out <file>]]
                   [--crash-at <round>:<frac>]       (serial executors only)
                   [--schedule full|active]
-                  [--shards <K> [--channel-cap <M>]]
+                  [--shards <K>]
                   [--chaos drop=P,dup=P,delay=K,corrupt=P[,delayp=P][,until=R]
                           [,byz=ID+ID+…[,strat=random|mimic|oscillate]][,asym=P]]
                   [--crash-shard S@R[,S@R…]]       (chaos flags require --shards)
                   [--churn-every <N> [--churn-events <K>] [--churn-epochs <E>]]
                   [--propose min-id|max-id|first|clockwise|hashed]   (smm only)
   selfstab sim    --protocol smm|smi|coloring --topology <name> --n <N>
+                  [--ids identity|reversed|random]
                   [--jitter <frac>] [--loss <prob>] [--mobility <speed>]
                   [--seconds <N>] [--seed <u64>] [--metrics]
                   [--chaos drop=P,dup=P,delay=K,corrupt=P[,delayp=P][,asym=P]]
@@ -49,9 +50,10 @@ USAGE:
   the previous round — identical results to the full sweep, fewer guard
   evaluations; full re-evaluates everything every round. --shards K
   executes on the sharded message-passing runtime (K mailbox workers,
-  beacon frames over bounded channels; no cycle detection) — identical
-  states and round counts to the in-process executor; under the active
-  schedule only moved boundary states are re-broadcast (delta beacons).
+  one beacon batch per neighbouring shard per round; no cycle
+  detection) — identical states and round counts to the in-process
+  executor; under the active schedule only moved boundary states are
+  re-broadcast (delta beacons).
   --propose overrides SMM's R2 selection (the paper's min-id is what makes
   SMM stabilize; clockwise reproduces the C4 counterexample). --chaos
   injects a seeded fault plan at the shard channel boundary: beacon frames
@@ -67,7 +69,7 @@ USAGE:
   link churn every N rounds on any executor; legitimacy is then judged on
   the final, mutated topology. All chaos is deterministic given --seed.
   --profile records a JSONL artifact of the run (per-round phase spans,
-  per-shard skew, backpressure gauges, post-round states) to --profile-out,
+  per-shard skew, mailbox-depth gauges, post-round states) to --profile-out,
   defaulting to the --trace-out stem with a .jsonl extension, else
   selfstab-profile.jsonl. --crash-at <round>:<frac> re-randomizes a seeded
   ⌈frac·n⌉-node subset entering the given round on the serial executor —
@@ -121,12 +123,14 @@ USAGE:
                   tmp+rename, so a crash never truncates the last good
                   snapshot); --resume boots from such a document instead
                   of generating a topology — a legitimate snapshot
-                  re-stabilizes in 0 rounds. Any other flag is rejected.
+                  re-stabilizes in 0 rounds.
   selfstab client (--socket <path> (--script <file> | --send <line>)
                   | --scrape <host:port>)
                   scripted client for a --socket daemon; prints one reply
                   line per request. --scrape instead fetches one Prometheus
                   exposition from a daemon's --telemetry-addr listener.
+
+Every subcommand rejects a flag it does not read (exit 2).
 
 topologies: path cycle star complete grid binary-tree hypercube
             unit-disk gnp tree petersen";
@@ -154,13 +158,10 @@ pub(crate) fn build_topology(name: &str, n: usize, rng: &mut StdRng) -> Result<G
     })
 }
 
-/// Parse `--shards` / `--channel-cap` into `(shards, channel capacity)`;
-/// `None` means "run on the in-process executor".
-pub(crate) fn parse_shards(args: &Args) -> Result<Option<(usize, usize)>, String> {
+/// Parse `--shards` into a shard count; `None` means "run on the
+/// in-process executor".
+fn parse_shards(args: &Args) -> Result<Option<usize>, String> {
     let Some(raw) = args.get("shards") else {
-        if args.get("channel-cap").is_some() {
-            return Err("--channel-cap requires --shards".into());
-        }
         return Ok(None);
     };
     let shards: usize = raw
@@ -169,11 +170,7 @@ pub(crate) fn parse_shards(args: &Args) -> Result<Option<(usize, usize)>, String
     if shards == 0 {
         return Err("--shards must be at least 1".into());
     }
-    let cap: usize = args.parse_or("channel-cap", selfstab_runtime::DEFAULT_CHANNEL_CAP)?;
-    if cap == 0 {
-        return Err("--channel-cap must be at least 1".into());
-    }
-    Ok(Some((shards, cap)))
+    Ok(Some(shards))
 }
 
 /// Parse `--chaos` / `--crash-shard` into a [`FaultPlan`] seeded from the
@@ -373,13 +370,12 @@ where
     // and the re-stabilization time after the last event.
     let mut churned: Option<ChurnedOutcome> = None;
     let (run, runtime_note) = match (shards, &churn) {
-        (Some((k, cap)), Some(sched)) => {
+        (Some(k), Some(sched)) => {
             let out = run_churned_sharded(
                 g,
                 proto,
                 k,
                 schedule,
-                Some(cap),
                 chaos.as_ref(),
                 sched,
                 init,
@@ -389,12 +385,10 @@ where
             .map_err(|e| format!("runtime: {e}"))?;
             let recovery = out.recovery_rounds();
             churned = Some((out.graph, out.events, recovery));
-            (out.run, Some(format!("{k} shards, channel cap {cap}")))
+            (out.run, Some(format!("{k} shards")))
         }
-        (Some((k, cap)), None) => {
-            let mut exec = RuntimeExecutor::new(g, proto, k)
-                .with_channel_cap(cap)
-                .with_schedule(schedule);
+        (Some(k), None) => {
+            let mut exec = RuntimeExecutor::new(g, proto, k).with_schedule(schedule);
             if let Some(plan) = chaos.clone() {
                 exec = exec.with_chaos(plan);
             }
@@ -406,10 +400,7 @@ where
                     &mut (metrics.as_mut(), (chrome.as_mut(), jsonl.as_mut())),
                 )
                 .map_err(|e| format!("runtime: {e}"))?;
-            (
-                run,
-                Some(format!("{k} shards, channel cap {cap}, {cut} cut edges")),
-            )
+            (run, Some(format!("{k} shards, {cut} cut edges")))
         }
         (None, Some(sched)) => {
             let out = run_churned_serial_observed(
@@ -455,10 +446,7 @@ where
             ("topology".to_string(), topology_name.to_json()),
             ("n".to_string(), n.to_json()),
             ("m".to_string(), g.m().to_json()),
-            (
-                "shards".to_string(),
-                shards.map(|(k, _)| k).unwrap_or(1).to_json(),
-            ),
+            ("shards".to_string(), shards.unwrap_or(1).to_json()),
             ("seed".to_string(), seed.to_json()),
             ("max_rounds".to_string(), max_rounds.to_json()),
             (
@@ -642,7 +630,7 @@ where
                 result_summary: summarize(final_graph, &run.final_states),
                 states: run.final_states.iter().map(&render_state).collect(),
                 metrics: metrics.as_ref().map(MetricsCollector::to_json),
-                shards: shards.map(|(k, _)| k),
+                shards,
                 chaos: chaos_note,
                 churn: churn_json,
                 containment: containment.as_ref().map(|c| {
@@ -1052,12 +1040,10 @@ mod tests {
             "12",
             "--shards",
             "3",
-            "--channel-cap",
-            "8",
             "--metrics",
         ]))
         .unwrap();
-        assert!(out.contains("runtime: 3 shards, channel cap 8"), "{out}");
+        assert!(out.contains("runtime: 3 shards, "), "{out}");
         assert!(out.contains("cut edges"), "{out}");
         assert!(
             out.contains("| frames | suppressed | wire bytes | max chan depth |"),
@@ -1116,32 +1102,6 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.contains("--shards must be at least 1"), "{err}");
-        let err = run(&args(&[
-            "--protocol",
-            "smm",
-            "--topology",
-            "path",
-            "--n",
-            "6",
-            "--shards",
-            "2",
-            "--channel-cap",
-            "0",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("--channel-cap must be at least 1"), "{err}");
-        let err = run(&args(&[
-            "--protocol",
-            "smm",
-            "--topology",
-            "path",
-            "--n",
-            "6",
-            "--channel-cap",
-            "4",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("--channel-cap requires --shards"), "{err}");
         let err = run(&args(&[
             "--protocol",
             "smm",

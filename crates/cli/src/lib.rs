@@ -19,6 +19,31 @@ pub mod serve;
 
 pub use args::Args;
 
+/// Every flag each subcommand reads, space-separated. [`main_with`] rejects
+/// any other flag before dispatch (`unknown flag --<name> for <cmd>`, exit
+/// 2), so a typo or a removed flag fails loudly instead of being ignored.
+const FLAGS: &[(&str, &str)] = &[
+    (
+        "run",
+        "chaos churn-epochs churn-events churn-every crash-at crash-shard format graph6 ids \
+         init max-rounds metrics n profile profile-out propose protocol schedule seed shards \
+         topology trace-out",
+    ),
+    (
+        "sim",
+        "chaos ids jitter loss metrics mobility n protocol seconds seed topology",
+    ),
+    ("verify", "max-n protocol"),
+    ("topology", "format n seed topology"),
+    (
+        "serve",
+        "budget ids init metrics n profile-out protocol resume script seed snapshot-every \
+         snapshot-out socket telemetry-addr topology",
+    ),
+    ("client", "scrape script send socket"),
+    ("analyze", "window"),
+];
+
 /// Entry point shared by the binary and the tests. Returns the process exit
 /// code and writes the report to `out`.
 pub fn main_with(argv: &[String], out: &mut dyn std::io::Write) -> i32 {
@@ -41,6 +66,19 @@ pub fn main_with(argv: &[String], out: &mut dyn std::io::Write) -> i32 {
             return 2;
         }
     };
+    if let Some((_, flags)) = FLAGS.iter().find(|(name, _)| name == cmd) {
+        if let Some(flag) = args
+            .keys()
+            .find(|k| !flags.split_whitespace().any(|f| f == *k))
+        {
+            let _ = writeln!(
+                out,
+                "error: unknown flag --{flag} for {cmd}\n\n{}",
+                commands::USAGE
+            );
+            return 2;
+        }
+    }
     if cmd == "analyze" {
         return match analyze::analyze(artifact.as_deref(), &args) {
             Ok((report, ok)) => {
@@ -76,5 +114,51 @@ pub fn main_with(argv: &[String], out: &mut dyn std::io::Write) -> i32 {
             let _ = writeln!(out, "error: {e}\n\n{}", commands::USAGE);
             2
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    fn exit_code(argv: &[&str]) -> (i32, String) {
+        let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+        let mut out = Vec::new();
+        let code = crate::main_with(&argv, &mut out);
+        (code, String::from_utf8(out).unwrap())
+    }
+
+    #[test]
+    fn run_rejects_the_removed_channel_cap_flag() {
+        let (code, out) = exit_code(&[
+            "run",
+            "--protocol",
+            "smm",
+            "--topology",
+            "cycle",
+            "--n",
+            "4",
+            "--shards",
+            "2",
+            "--channel-cap",
+            "8",
+        ]);
+        assert_eq!(code, 2, "{out}");
+        assert!(out.contains("unknown flag --channel-cap for run"), "{out}");
+    }
+
+    #[test]
+    fn sim_rejects_a_misspelled_flag() {
+        let (code, out) = exit_code(&[
+            "sim",
+            "--protocol",
+            "smm",
+            "--topology",
+            "cycle",
+            "--n",
+            "4",
+            "--jiter",
+            "0.1",
+        ]);
+        assert_eq!(code, 2, "{out}");
+        assert!(out.contains("unknown flag --jiter for sim"), "{out}");
     }
 }

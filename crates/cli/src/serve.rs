@@ -26,31 +26,9 @@ use selfstab_service::{
 };
 use std::sync::Arc;
 
-/// Every flag `serve` reads; any other is rejected rather than ignored.
-const SERVE_FLAGS: &[&str] = &[
-    "budget",
-    "ids",
-    "init",
-    "metrics",
-    "n",
-    "profile-out",
-    "protocol",
-    "resume",
-    "script",
-    "seed",
-    "snapshot-every",
-    "snapshot-out",
-    "socket",
-    "telemetry-addr",
-    "topology",
-];
-
 /// `selfstab serve`: run the resident service against a scripted sim
 /// session or a Unix-socket listener.
 pub fn serve(args: &Args) -> Result<String, String> {
-    if let Some(flag) = args.keys().find(|k| !SERVE_FLAGS.contains(k)) {
-        return Err(format!("unknown flag --{flag} for serve"));
-    }
     let protocol = args.required("protocol")?;
     let n: usize = args.parse_or("n", 16)?;
     let seed: u64 = args.parse_or("seed", 0)?;

@@ -77,12 +77,6 @@ impl ChurnSchedule {
         self
     }
 
-    /// Replace the event generator.
-    pub fn with_churn(mut self, churn: Churn) -> Self {
-        self.churn = churn;
-        self
-    }
-
     /// Check the schedule is well-formed.
     pub fn validate(&self) -> Result<(), String> {
         if self.every == 0 {
@@ -137,11 +131,6 @@ impl ChurnFeed<'_> {
         (self.epochs_done < self.plan.epochs).then(|| (self.epochs_done + 1) * self.plan.every)
     }
 
-    /// Whether all scheduled epochs have fired.
-    pub fn is_exhausted(&self) -> bool {
-        self.epochs_done >= self.plan.epochs
-    }
-
     /// Fire the batch scheduled for `round`, mutating `graph` in place, and
     /// return the applied events. A no-op (empty vec) unless `round` is
     /// exactly the pending boundary — callers may poll every round.
@@ -161,11 +150,6 @@ impl ChurnFeed<'_> {
             self.events.push((round, ev));
         }
         applied
-    }
-
-    /// All events applied so far, tagged with the round they fired entering.
-    pub fn events(&self) -> &[(usize, TopologyEvent)] {
-        &self.events
     }
 
     /// Consume the feed, returning the applied-event log.

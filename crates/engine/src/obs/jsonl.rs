@@ -9,6 +9,7 @@
 //! captured from a live observed run can be re-validated offline with
 //! [`crate::record::validate_trace`], exactly like a recorded trace.
 
+use super::metrics::{beacon_json, runtime_json};
 use super::{profile_json, Observer, RoundStats};
 use crate::sync::Outcome;
 use selfstab_graph::Node;
@@ -105,35 +106,10 @@ impl<S: ToJson> Observer<S> for JsonlEventLog {
             ("states".to_string(), states.to_json()),
         ];
         if let Some(b) = &stats.beacon {
-            fields.push((
-                "beacon".to_string(),
-                Json::obj([
-                    ("deliveries", b.deliveries.to_json()),
-                    ("losses", b.losses.to_json()),
-                    ("collisions", b.collisions.to_json()),
-                    ("stale_views", b.stale_views.to_json()),
-                    ("jitter_abs_sum_micros", b.jitter_abs_sum_micros.to_json()),
-                ]),
-            ));
+            fields.push(("beacon".to_string(), beacon_json(b)));
         }
         if let Some(rt) = &stats.runtime {
-            fields.push((
-                "runtime".to_string(),
-                Json::obj([
-                    ("shard_moves", rt.shard_moves.to_json()),
-                    ("frames", rt.frames.to_json()),
-                    ("frames_suppressed", rt.frames_suppressed.to_json()),
-                    ("bytes_on_wire", rt.bytes_on_wire.to_json()),
-                    ("max_channel_depth", rt.max_channel_depth.to_json()),
-                    ("frames_dropped", rt.frames_dropped.to_json()),
-                    ("frames_duped", rt.frames_duped.to_json()),
-                    ("frames_delayed", rt.frames_delayed.to_json()),
-                    ("frames_corrupted", rt.frames_corrupted.to_json()),
-                    ("restarts", rt.restarts.to_json()),
-                    ("byz_rewrites", rt.byz_rewrites.to_json()),
-                    ("asym_links_down", rt.asym_links_down.to_json()),
-                ]),
-            ));
+            fields.push(("runtime".to_string(), runtime_json(rt)));
         }
         if let Some(p) = &stats.profile {
             fields.push(("profile".to_string(), profile_json(p)));

@@ -31,8 +31,9 @@ pub struct RoundRecord {
     pub moves_per_rule: Vec<u64>,
     /// Wall-clock (or simulated) duration of the round, µs.
     pub duration_micros: u64,
-    /// Gauge values on the post-round state, index-aligned with
-    /// [`MetricsCollector::gauge_names`].
+    /// Gauge values on the post-round state, index-aligned with the
+    /// collector's gauge names (the `gauge_names` array of
+    /// [`MetricsCollector::to_json`]).
     pub gauges: Vec<u64>,
     /// Beacon-layer counters (simulator runs only).
     pub beacon: Option<BeaconCounters>,
@@ -87,11 +88,6 @@ impl<S> MetricsCollector<S> {
             self.gauge_fns.push(f);
         }
         self
-    }
-
-    /// The gauge names, in the order of [`RoundRecord::gauges`].
-    pub fn gauge_names(&self) -> &[String] {
-        &self.gauge_names
     }
 
     /// Gauge values on the initial state (recorded when round 1 starts;
@@ -321,7 +317,9 @@ impl<S> MetricsCollector<S> {
     }
 }
 
-fn beacon_json(b: &BeaconCounters) -> Json {
+/// Serialize one round's beacon-layer counters. The JSONL event log renders
+/// its `beacon` object through this too, so both artifacts share one schema.
+pub(crate) fn beacon_json(b: &BeaconCounters) -> Json {
     Json::obj([
         ("deliveries", b.deliveries.to_json()),
         ("losses", b.losses.to_json()),
@@ -331,7 +329,9 @@ fn beacon_json(b: &BeaconCounters) -> Json {
     ])
 }
 
-fn runtime_json(rt: &RuntimeCounters) -> Json {
+/// Serialize one round's shard/wire counters (the `runtime` object of both
+/// [`MetricsCollector::to_json`] and the JSONL event log's `round_end`).
+pub(crate) fn runtime_json(rt: &RuntimeCounters) -> Json {
     Json::obj([
         ("shard_moves", rt.shard_moves.to_json()),
         ("frames", rt.frames.to_json()),

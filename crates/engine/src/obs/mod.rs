@@ -76,8 +76,9 @@ pub struct RuntimeCounters {
     /// Total encoded frame bytes that crossed a shard boundary this round
     /// (header + payload).
     pub bytes_on_wire: u64,
-    /// The deepest any cross-shard channel got this round (a backpressure
-    /// gauge: values near the channel capacity mean senders were blocked).
+    /// The deepest any shard's mailbox got this round, in batches. At most
+    /// one round is in flight, so it never exceeds the receiving shard's
+    /// number of neighbouring shards (≤ K − 1).
     pub max_channel_depth: u64,
     /// Boundary beacons *not* sent this round because the node's state did
     /// not change (delta-beacon suppression under the active schedule; 0

@@ -2,8 +2,8 @@
 //!
 //! Since the sharded runtime landed, a "round" is no longer one atomic
 //! sweep: each worker pipelines guard evaluation, delta-beacon encoding,
-//! channel sends, mailbox drains, and two barrier rendezvous. A slow shard,
-//! a backpressured channel, or a chaos-induced rebroadcast storm all used
+//! mailbox sends, mailbox waits, and two barrier rendezvous. A slow shard,
+//! a peer late with its batch, or a chaos-induced rebroadcast storm all used
 //! to collapse into one opaque [`RoundStats::duration_micros`]. The types
 //! here attribute that time: each executor lane (a shard worker, or the
 //! single lane of an in-process executor) accumulates **span sums and
@@ -28,11 +28,11 @@ pub enum Phase {
     Compute,
     /// Encoding boundary states into per-target beacon frame batches.
     Encode,
-    /// Pushing encoded batches into cross-shard channels (includes time
-    /// blocked on a full channel — the sender side of backpressure).
+    /// Pushing encoded batches into the peers' mailboxes (a push never
+    /// blocks: mailboxes are unbounded).
     Send,
-    /// Draining the mailbox and waiting (bounded spin, then parking) for
-    /// the frames the round still expects.
+    /// Blocked on the mailbox until the batches the round expects have
+    /// arrived, plus decoding them.
     RecvWait,
     /// Blocked on the round barrier (both rendezvous of the handshake).
     BarrierWait,
@@ -176,10 +176,11 @@ pub struct ShardProfile {
     /// Whole-round wall-clock for this lane, microseconds.
     pub round_micros: u64,
     /// The deepest this lane's inbound mailbox got during the round. The
-    /// runtime consumes-and-resets the channel's high-water mark at every
-    /// round boundary (`Receiver::take_max_depth`), so this gauge is
-    /// per-round backpressure, not a cumulative maximum. Always 0 for
-    /// in-process lanes, which have no mailbox.
+    /// runtime consumes-and-resets the mailbox's high-water mark at every
+    /// round boundary (`Receiver::take_max_depth`), so this gauge is the
+    /// round's own peak, not a cumulative maximum; it never exceeds the
+    /// number of neighbouring shards. Always 0 for in-process lanes, which
+    /// have no mailbox.
     pub inbox_max_depth: u64,
     /// Mailbox depth after the round's exchange finished draining — frames
     /// already queued for a *future* round. Normally 0.

@@ -12,8 +12,6 @@
 
 use std::collections::VecDeque;
 
-use selfstab_analysis::Histogram;
-
 /// A bounded ring of the most recent `u64` samples with windowed and
 /// recency-decayed quantiles.
 ///
@@ -50,38 +48,14 @@ impl RollingWindow {
         self.pushed = self.pushed.saturating_add(1);
     }
 
-    /// Samples currently retained (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether no samples are retained.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
     /// Lifetime count of samples ever pushed (monotone; survives eviction).
     pub fn pushed(&self) -> u64 {
         self.pushed
     }
 
-    /// The most recent sample, if any.
-    pub fn last(&self) -> Option<u64> {
-        self.samples.back().copied()
-    }
-
     /// The largest retained sample, if any.
     pub fn max(&self) -> Option<u64> {
         self.samples.iter().max().copied()
-    }
-
-    /// Mean of the retained samples; `None` when empty (never NaN).
-    pub fn mean(&self) -> Option<f64> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        let sum: u128 = self.samples.iter().map(|&v| v as u128).sum();
-        Some(sum as f64 / self.samples.len() as f64)
     }
 
     /// The smallest retained sample `v` such that at least `q` of the
@@ -129,12 +103,6 @@ impl RollingWindow {
             }
         }
         weighted.last().map(|&(v, _)| v)
-    }
-
-    /// The retained samples folded into a dense [`Histogram`] (for
-    /// [`Histogram::merge`] into cumulative aggregates offline).
-    pub fn histogram(&self) -> Histogram {
-        Histogram::of(self.samples.iter().map(|&v| v as usize))
     }
 }
 
@@ -193,20 +161,16 @@ mod tests {
     #[test]
     fn ring_evicts_oldest_and_counts_lifetime() {
         let mut w = RollingWindow::new(3);
-        assert!(w.is_empty());
         assert_eq!(w.quantile(0.5), None);
         for v in 1..=5 {
             w.push(v);
         }
-        assert_eq!(w.len(), 3);
         assert_eq!(w.pushed(), 5);
-        assert_eq!(w.last(), Some(5));
         assert_eq!(w.max(), Some(5));
         // Window holds {3, 4, 5}.
         assert_eq!(w.quantile(0.0), Some(3));
         assert_eq!(w.quantile(0.5), Some(4));
         assert_eq!(w.quantile(1.0), Some(5));
-        assert_eq!(w.mean(), Some(4.0));
     }
 
     #[test]
@@ -214,7 +178,8 @@ mod tests {
         let mut w = RollingWindow::new(0);
         w.push(7);
         w.push(9);
-        assert_eq!(w.len(), 1);
+        // Only the newest sample is retained.
+        assert_eq!(w.quantile(0.0), Some(9));
         assert_eq!(w.quantile(0.5), Some(9));
     }
 
@@ -237,21 +202,6 @@ mod tests {
         // Degenerate half-life clamps instead of producing NaN weights.
         assert!(w.decayed_quantile(0.5, f64::NAN).is_some());
         assert!(RollingWindow::new(4).decayed_quantile(0.5, 4.0).is_none());
-    }
-
-    #[test]
-    fn histogram_snapshot_merges() {
-        let mut w = RollingWindow::new(4);
-        for v in [2, 2, 3, 4, 4] {
-            w.push(v);
-        }
-        // Window holds {2, 3, 4, 4}.
-        let h = w.histogram();
-        assert_eq!(h.total(), 4);
-        assert_eq!(h.count(4), 2);
-        let mut cumulative = Histogram::of([1usize]);
-        cumulative.merge(&h);
-        assert_eq!(cumulative.total(), 5);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! scheduling.
 
 use rand::rngs::StdRng;
-use selfstab_graph::{Graph, Ids, Node};
+use selfstab_graph::{Graph, Node};
 use std::fmt::Debug;
 use std::hash::Hash;
 
@@ -203,12 +203,6 @@ impl<S: Clone> InitialState<S> {
             }
         }
     }
-}
-
-/// Helper shared by protocol implementations: the node with the minimum ID
-/// among candidates, per the paper's `min{j ∈ N(i) : …}` notation.
-pub fn min_id_node(ids: &Ids, candidates: impl IntoIterator<Item = Node>) -> Option<Node> {
-    ids.min_by_id(candidates)
 }
 
 /// A decode failure for a wire-encoded state or frame.

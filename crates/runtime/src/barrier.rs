@@ -89,11 +89,6 @@ impl PoisonBarrier {
         self.state.lock().expect("barrier mutex").poisoned = true;
         self.cv.notify_all();
     }
-
-    /// Whether [`PoisonBarrier::poison`] has been called.
-    pub fn is_poisoned(&self) -> bool {
-        self.state.lock().expect("barrier mutex").poisoned
-    }
 }
 
 #[cfg(test)]
@@ -141,7 +136,6 @@ mod tests {
         for h in handles {
             assert_eq!(h.join().unwrap(), Err(Poisoned));
         }
-        assert!(barrier.is_poisoned());
         assert_eq!(barrier.wait(), Err(Poisoned));
     }
 

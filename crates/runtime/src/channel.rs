@@ -1,70 +1,51 @@
-//! Bounded MPSC channels for cross-shard beacon traffic.
+//! Unbounded MPSC mailboxes for cross-shard beacon traffic.
 //!
-//! A deliberately small mailbox primitive: a `Mutex<VecDeque>` plus two
-//! condvars, a hard capacity, and a high-water mark. The capacity is the
-//! backpressure mechanism the runtime's observability reports on — a
-//! channel running at its cap means the receiving shard is the bottleneck.
+//! A deliberately small primitive: a `Mutex<VecDeque>`, one condvar and a
+//! high-water mark. There is no capacity. The runtime bounds every mailbox
+//! by construction — one batch per neighbouring shard per round, at most
+//! one round in flight (see [`crate::executor`]) — so a shard's mailbox
+//! never holds more than the `expected_in ≤ K − 1` batches it waits for,
+//! and [`Sender::send`] never blocks.
 //!
-//! The executor's exchange loop uses only the non-blocking [`Sender::try_send`]
-//! / [`Receiver::try_recv`] pair (blocking sends between mutually-sending
-//! shards with full channels would deadlock); the blocking [`Sender::send`]
-//! and [`Receiver::recv`] exist for tests and simpler producer/consumer
-//! uses.
+//! A mailbox is *closed* by [`Sender::close`] or by dropping its
+//! [`Receiver`]. Closing wakes a receiver blocked in [`Receiver::recv`],
+//! which then returns `None`, and fails every later send. That is how a
+//! failing worker releases peers waiting for a batch it will never send.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
-
-/// Why a [`Sender::try_send`] did not enqueue.
-#[derive(Debug, PartialEq, Eq)]
-pub enum TrySendError<T> {
-    /// The channel is at capacity; the value is handed back.
-    Full(T),
-    /// The receiver was dropped; the value is handed back.
-    Disconnected(T),
-}
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 struct Shared<T> {
     queue: Mutex<Inner<T>>,
-    not_full: Condvar,
-    not_empty: Condvar,
-    cap: usize,
+    ready: Condvar,
 }
 
 struct Inner<T> {
     items: VecDeque<T>,
-    /// Deepest the queue has ever been (backpressure gauge).
+    /// Deepest the queue got since the last [`Receiver::take_max_depth`].
     max_depth: usize,
-    senders: usize,
-    receiver_alive: bool,
+    closed: bool,
 }
 
-/// The sending half; clone one per producer.
+/// The sending half; producers share it by reference.
 pub struct Sender<T> {
     shared: Arc<Shared<T>>,
 }
 
-/// The receiving half; exactly one per channel.
+/// The receiving half; exactly one per mailbox.
 pub struct Receiver<T> {
     shared: Arc<Shared<T>>,
 }
 
-/// Create a bounded channel with room for `cap` in-flight values.
-///
-/// # Panics
-/// Panics if `cap == 0` (a zero-capacity mailbox can never deliver under
-/// the non-blocking exchange protocol).
-pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-    assert!(cap > 0, "channel capacity must be positive");
+/// Create an open, empty mailbox.
+pub fn mailbox<T>() -> (Sender<T>, Receiver<T>) {
     let shared = Arc::new(Shared {
         queue: Mutex::new(Inner {
             items: VecDeque::new(),
             max_depth: 0,
-            senders: 1,
-            receiver_alive: true,
+            closed: false,
         }),
-        not_full: Condvar::new(),
-        not_empty: Condvar::new(),
-        cap,
+        ready: Condvar::new(),
     });
     (
         Sender {
@@ -74,266 +55,187 @@ pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
     )
 }
 
+impl<T> Shared<T> {
+    fn close(&self) {
+        // Runs in `Drop` and in a failing worker's guard, so it must not
+        // panic. Every update leaves the queue valid, so a lock poisoned by
+        // a panicking peer is safe to take over.
+        self.queue
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .closed = true;
+        self.ready.notify_all();
+    }
+}
+
 impl<T> Sender<T> {
-    /// Enqueue without blocking; hands the value back when full or when the
-    /// receiver is gone.
-    pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-        let mut q = self.shared.queue.lock().unwrap();
-        if !q.receiver_alive {
-            return Err(TrySendError::Disconnected(value));
-        }
-        if q.items.len() >= self.shared.cap {
-            return Err(TrySendError::Full(value));
+    /// Enqueue without blocking and return the queue depth after the push;
+    /// hands the value back once the mailbox is closed.
+    pub fn send(&self, value: T) -> Result<usize, T> {
+        let mut q = self.shared.queue.lock().expect("mailbox mutex");
+        if q.closed {
+            return Err(value);
         }
         q.items.push_back(value);
-        q.max_depth = q.max_depth.max(q.items.len());
+        let depth = q.items.len();
+        q.max_depth = q.max_depth.max(depth);
         drop(q);
-        self.shared.not_empty.notify_one();
-        Ok(())
+        self.shared.ready.notify_one();
+        Ok(depth)
     }
 
-    /// Enqueue, blocking while the channel is full. Hands the value back
-    /// (as `Err`) only if the receiver is dropped.
-    pub fn send(&self, value: T) -> Result<(), T> {
-        let mut q = self.shared.queue.lock().unwrap();
-        loop {
-            if !q.receiver_alive {
-                return Err(value);
-            }
-            if q.items.len() < self.shared.cap {
-                q.items.push_back(value);
-                q.max_depth = q.max_depth.max(q.items.len());
-                drop(q);
-                self.shared.not_empty.notify_one();
-                return Ok(());
-            }
-            q = self.shared.not_full.wait(q).unwrap();
-        }
-    }
-
-    /// Current queue depth (racy; for gauges only).
-    pub fn depth(&self) -> usize {
-        self.shared.queue.lock().unwrap().items.len()
-    }
-}
-
-impl<T> Clone for Sender<T> {
-    fn clone(&self) -> Self {
-        self.shared.queue.lock().unwrap().senders += 1;
-        Sender {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-}
-
-impl<T> Drop for Sender<T> {
-    fn drop(&mut self) {
-        let mut q = self.shared.queue.lock().unwrap();
-        q.senders -= 1;
-        if q.senders == 0 {
-            drop(q);
-            // Wake a receiver blocked on an empty queue so it can observe
-            // the disconnect.
-            self.shared.not_empty.notify_all();
-        }
+    /// Close the mailbox: a blocked [`Receiver::recv`] wakes with `None`
+    /// and every later send fails.
+    pub fn close(&self) {
+        self.shared.close();
     }
 }
 
 impl<T> Receiver<T> {
-    /// Dequeue without blocking; `None` when the queue is currently empty
-    /// (regardless of sender liveness).
-    pub fn try_recv(&self) -> Option<T> {
-        let mut q = self.shared.queue.lock().unwrap();
-        let item = q.items.pop_front();
-        if item.is_some() {
-            drop(q);
-            self.shared.not_full.notify_one();
-        }
-        item
-    }
-
-    /// Dequeue, blocking while the queue is empty; `None` once the queue is
-    /// empty *and* every sender is gone.
+    /// Dequeue, blocking while the mailbox is empty; `None` once it is
+    /// closed.
     pub fn recv(&self) -> Option<T> {
-        let mut q = self.shared.queue.lock().unwrap();
+        let mut q = self.shared.queue.lock().expect("mailbox mutex");
         loop {
-            if let Some(item) = q.items.pop_front() {
-                drop(q);
-                self.shared.not_full.notify_one();
-                return Some(item);
-            }
-            if q.senders == 0 {
+            if q.closed {
                 return None;
             }
-            q = self.shared.not_empty.wait(q).unwrap();
+            if let Some(item) = q.items.pop_front() {
+                return Some(item);
+            }
+            q = self.shared.ready.wait(q).expect("mailbox mutex");
         }
     }
 
     /// Current queue depth (racy; for gauges only).
     pub fn depth(&self) -> usize {
-        self.shared.queue.lock().unwrap().items.len()
-    }
-
-    /// Deepest the queue has ever been.
-    pub fn max_depth(&self) -> usize {
-        self.shared.queue.lock().unwrap().max_depth
+        self.shared.queue.lock().expect("mailbox mutex").items.len()
     }
 
     /// Read *and reset* the high-water mark: returns the deepest the queue
     /// got since the last call (or creation), then re-arms the mark at the
-    /// current depth. Sampling [`Receiver::max_depth`] every round reports
-    /// a cumulative maximum — one early burst shadows every later round —
-    /// so per-round backpressure gauges must consume the mark instead.
+    /// current depth, so each round's gauge reflects that round alone.
     pub fn take_max_depth(&self) -> usize {
-        let mut q = self.shared.queue.lock().unwrap();
+        let mut q = self.shared.queue.lock().expect("mailbox mutex");
         let max = q.max_depth;
         q.max_depth = q.items.len();
         max
-    }
-
-    /// Park on the channel's condvar until a message is available, every
-    /// sender is gone, or `timeout` elapses; returns whether the queue is
-    /// non-empty. The bounded-backoff primitive for pump loops that also
-    /// have *outbound* work to retry: a busy-wait burns a core, an unbounded
-    /// wait never retries the sends, this does neither.
-    pub fn wait_nonempty(&self, timeout: std::time::Duration) -> bool {
-        let q = self.shared.queue.lock().unwrap();
-        if !q.items.is_empty() || q.senders == 0 {
-            return !q.items.is_empty();
-        }
-        let (q, _) = self
-            .shared
-            .not_empty
-            .wait_timeout(q, timeout)
-            .expect("channel mutex");
-        !q.items.is_empty()
     }
 }
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        self.shared.queue.lock().unwrap().receiver_alive = false;
-        self.shared.not_full.notify_all();
+        self.shared.close();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
     use std::thread;
+    use std::time::Duration;
+
+    /// Run `f` on its own thread and fail if it has not finished in 30 s,
+    /// so a lost wake-up fails the test instead of hanging the suite.
+    fn within_deadline<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
+        let (done, result) = mpsc::channel();
+        let worker = thread::spawn(move || done.send(f()).expect("watchdog alive"));
+        let out = result
+            .recv_timeout(Duration::from_secs(30))
+            .expect("watchdog: no result within 30 s");
+        worker.join().unwrap();
+        out
+    }
 
     #[test]
-    fn fifo_order_and_depth_tracking() {
-        let (tx, rx) = bounded(4);
+    fn fifo_order_and_depth_after_each_push() {
+        let (tx, rx) = mailbox();
         for i in 0..4 {
-            tx.try_send(i).unwrap();
+            assert_eq!(tx.send(i), Ok(i + 1));
         }
         assert_eq!(rx.depth(), 4);
-        assert_eq!(tx.try_send(9), Err(TrySendError::Full(9)));
         assert_eq!(
-            (0..4).map(|_| rx.try_recv().unwrap()).collect::<Vec<_>>(),
+            (0..4).map(|_| rx.recv().unwrap()).collect::<Vec<_>>(),
             vec![0, 1, 2, 3]
         );
-        assert_eq!(rx.try_recv(), None);
-        assert_eq!(rx.max_depth(), 4);
+        assert_eq!(rx.depth(), 0);
     }
 
     #[test]
     fn take_max_depth_resets_the_high_water_mark() {
-        let (tx, rx) = bounded(8);
+        let (tx, rx) = mailbox();
         for i in 0..4 {
-            tx.try_send(i).unwrap();
+            tx.send(i).unwrap();
         }
         for _ in 0..4 {
-            rx.try_recv().unwrap();
+            rx.recv().unwrap();
         }
-        // First take sees the burst; the second starts from a clean mark
-        // (the cumulative `max_depth` would report 4 forever).
+        // The first take sees the burst; the second starts from a clean
+        // mark, so one early burst never shadows a later round.
         assert_eq!(rx.take_max_depth(), 4);
         assert_eq!(rx.take_max_depth(), 0);
-        tx.try_send(9).unwrap();
-        tx.try_send(10).unwrap();
+        tx.send(9).unwrap();
+        tx.send(10).unwrap();
         assert_eq!(rx.take_max_depth(), 2);
         // Re-armed at the *current* depth, not zero: the two queued items
         // are still the deepest the next window has seen.
-        assert_eq!(rx.max_depth(), 2);
+        assert_eq!(rx.take_max_depth(), 2);
     }
 
     #[test]
-    fn blocking_send_applies_backpressure() {
-        let (tx, rx) = bounded(2);
-        tx.send(1).unwrap();
-        tx.send(2).unwrap();
-        let t = thread::spawn(move || {
-            // Blocks until the main thread drains one slot.
-            tx.send(3).unwrap();
-        });
-        assert_eq!(rx.recv(), Some(1));
-        t.join().unwrap();
-        assert_eq!(rx.recv(), Some(2));
-        assert_eq!(rx.recv(), Some(3));
-        // All senders dropped: recv reports disconnect, not a hang.
-        assert_eq!(rx.recv(), None);
-    }
-
-    #[test]
-    fn mpsc_from_many_threads_delivers_everything() {
-        let (tx, rx) = bounded(3);
-        let producers: Vec<_> = (0..4)
-            .map(|p| {
-                let tx = tx.clone();
-                thread::spawn(move || {
-                    for i in 0..25 {
-                        tx.send(p * 100 + i).unwrap();
-                    }
-                })
+    fn recv_wakes_on_every_send_from_many_threads() {
+        let got = within_deadline(|| {
+            let (tx, rx) = mailbox();
+            thread::scope(|s| {
+                for p in 0..4 {
+                    let tx = &tx;
+                    s.spawn(move || {
+                        for i in 0..25 {
+                            tx.send(p * 100 + i).unwrap();
+                        }
+                    });
+                }
+                (0..100).map(|_| rx.recv().unwrap()).collect::<Vec<i32>>()
             })
-            .collect();
-        drop(tx);
-        let mut got = Vec::new();
-        while let Some(v) = rx.recv() {
-            got.push(v);
-        }
-        for p in producers {
-            p.join().unwrap();
-        }
-        assert_eq!(got.len(), 100);
-        got.sort_unstable();
-        got.dedup();
-        assert_eq!(got.len(), 100, "no duplicates, nothing lost");
-        assert!(rx.max_depth() <= 3, "bound respected");
-    }
-
-    #[test]
-    fn wait_nonempty_wakes_on_send_and_times_out_when_idle() {
-        let (tx, rx) = bounded(2);
-        // Empty and idle: times out false, promptly.
-        assert!(!rx.wait_nonempty(std::time::Duration::from_millis(5)));
-        let t = thread::spawn(move || {
-            thread::sleep(std::time::Duration::from_millis(10));
-            tx.try_send(7u8).unwrap();
         });
-        // Wakes well before the (generous) timeout once the send lands.
-        assert!(rx.wait_nonempty(std::time::Duration::from_secs(10)));
-        assert_eq!(rx.try_recv(), Some(7));
-        t.join().unwrap();
-        // All senders gone: returns immediately instead of sleeping.
-        let start = std::time::Instant::now();
-        assert!(!rx.wait_nonempty(std::time::Duration::from_secs(10)));
-        assert!(start.elapsed() < std::time::Duration::from_secs(1));
+        let mut sorted = got.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(sorted.len(), 100, "no duplicates, nothing lost");
+        for p in 0..4 {
+            let lane: Vec<i32> = got.iter().copied().filter(|v| v / 100 == p).collect();
+            assert!(lane.windows(2).all(|w| w[0] < w[1]), "FIFO per producer");
+        }
     }
 
     #[test]
-    fn dropped_receiver_fails_sends() {
-        let (tx, rx) = bounded::<u8>(1);
+    fn close_wakes_a_blocked_recv() {
+        let (tx, rx) = mailbox::<u8>();
+        let (receiving, go) = mpsc::channel();
+        let closer = thread::spawn(move || {
+            // Close once the receiver is about to block. A close that lands
+            // before the recv must return `None` all the same.
+            go.recv().unwrap();
+            tx.close();
+        });
+        let got = within_deadline(move || {
+            receiving.send(()).unwrap();
+            rx.recv()
+        });
+        assert_eq!(got, None);
+        closer.join().unwrap();
+    }
+
+    #[test]
+    fn send_fails_after_a_close() {
+        let (tx, rx) = mailbox::<u8>();
+        tx.close();
+        assert_eq!(tx.send(1), Err(1));
+        assert_eq!(rx.recv(), None);
+
+        let (tx, rx) = mailbox::<u8>();
         drop(rx);
-        assert_eq!(tx.try_send(1), Err(TrySendError::Disconnected(1)));
-        assert_eq!(tx.send(2), Err(2));
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_panics() {
-        let _ = bounded::<u8>(0);
+        assert_eq!(tx.send(2), Err(2), "dropping the receiver closes it too");
     }
 }

@@ -535,7 +535,6 @@ pub fn run_churned_sharded<P: Protocol, O: Observer<P::State>>(
     proto: &P,
     shards: usize,
     schedule: Schedule,
-    channel_cap: Option<usize>,
     fault: Option<&FaultPlan>,
     churn: &ChurnSchedule,
     init: InitialState<P::State>,
@@ -562,9 +561,6 @@ where
         };
         let mut exec = RuntimeExecutor::from_partition(&graph, proto, partition.clone())
             .with_schedule(schedule);
-        if let Some(cap) = channel_cap {
-            exec = exec.with_channel_cap(cap);
-        }
         if let Some(f) = fault {
             exec = exec.with_chaos(f.clone().with_round_offset(clock));
         }

@@ -5,7 +5,7 @@
 //! owns each shard's node states. Every worker keeps a full-length state
 //! vector, but only its *owned* entries are authoritative — entries for
 //! boundary neighbors in other shards are ghosts, refreshed by [`Beacon`]
-//! frames arriving through bounded channels. Interior entries of other
+//! frames arriving through per-shard mailboxes. Interior entries of other
 //! shards go stale, which is harmless: a guard only ever reads the node
 //! itself (owned) and its neighbors (owned or ghost).
 //!
@@ -29,34 +29,38 @@
 //! only ever means — "unchanged", and each received beacon marks the
 //! sender's closed neighborhood dirty on the receiving side. One batch
 //! message still travels per neighbor-shard pair per round (possibly
-//! empty), keeping the static `expected_in` accounting and the no-deadlock
-//! pump argument of the full schedule.
+//! empty), so every shard receives the same static `expected_in` batches
+//! per round under either schedule.
 //!
-//! **The exchange cannot deadlock.** Beacons bound for the same shard are
-//! batched into one message per round, and senders never block: each worker
-//! pumps — `try_send` its pending batch, drain everything in its own
-//! mailbox — until all batches are out and the expected number (a static
-//! property of the partition) has arrived. A full peer channel therefore
-//! never stops a worker from emptying its own mailbox, which is what
-//! unblocks the peer. An idle pump iteration parks on the mailbox condvar
-//! with a bounded timeout rather than spinning.
+//! **The exchange is straight-line.** Beacons bound for the same shard are
+//! batched into one message per round. Each worker encodes and sends every
+//! batch of its plan, in order, then blocks on its own mailbox until exactly
+//! `expected_in` batches (a static property of the partition) have arrived.
+//! Mailboxes are unbounded, so a send never blocks and no worker waits on
+//! another's receive: every worker finishes its sends, so every expected
+//! batch arrives. The mailbox wakes the receiver on every send.
 //!
 //! **At most one round of frames is ever in flight.** A worker sends round
 //! r+1 frames only after the round-(r+1) barriers, which every peer reaches
-//! only after completely draining its round-r frames. The round tag in each
-//! frame turns this invariant into a checked [`RuntimeError::RoundTag`]
-//! instead of silent state corruption.
+//! only after completely draining its round-r frames. So a mailbox never
+//! holds more than `expected_in ≤ K − 1` batches, which is why it needs no
+//! capacity (each exchange `debug_assert!`s it on the inbox high-water
+//! mark). The round tag in each frame turns this invariant into a checked
+//! [`RuntimeError::RoundTag`] instead of silent state corruption.
 //!
-//! **Failures propagate; they do not hang or abort.** A worker that hits a
-//! wire error poisons the shared [`PoisonBarrier`] (waking peers parked on
-//! it) and drops its mailbox (failing peers' sends); peers fold into
-//! [`RuntimeError::Aborted`], the coordinator joins everyone, and
-//! [`RuntimeExecutor::run`] returns the most informative error. A panicking
-//! worker poisons the barrier from its drop guard and surfaces as
-//! [`RuntimeError::WorkerPanic`].
+//! **Failures propagate; they do not hang or abort.** A worker that fails
+//! — a wire error returned from its loop, or a panic caught by its drop
+//! guard — poisons the shared [`PoisonBarrier`], waking peers parked on it,
+//! and closes every shard's mailbox, waking peers blocked in a receive on
+//! the batch it will never send and failing their later sends. Peers fold
+//! into [`RuntimeError::Aborted`], the coordinator joins everyone, and
+//! [`RuntimeExecutor::run`] returns the most informative error; a panic
+//! surfaces as [`RuntimeError::WorkerPanic`].
+//!
+//! [`SyncExecutor`]: selfstab_engine::sync::SyncExecutor
 
 use crate::barrier::PoisonBarrier;
-use crate::channel::{bounded, Receiver, Sender, TrySendError};
+use crate::channel::{mailbox, Receiver, Sender};
 use crate::chaos::{FaultPlan, FrameFate};
 use crate::wire::{frame_extent, Beacon};
 use rand::rngs::StdRng;
@@ -68,21 +72,9 @@ use selfstab_engine::obs::{
     Observer, Phase, PhaseSpans, RoundProfile, RoundStats, RuntimeCounters, ShardProfile,
 };
 use selfstab_engine::protocol::{InitialState, Protocol, View, WireError, WireState};
-use selfstab_engine::sync::{Outcome, Run, SyncExecutor};
+use selfstab_engine::sync::{Outcome, Run};
 use selfstab_graph::{Graph, Node};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
-
-/// Default bound on each cross-shard channel (batch messages; one message
-/// carries every beacon one shard sends another for one round).
-pub const DEFAULT_CHANNEL_CAP: usize = 1024;
-
-/// Idle pump iterations spent yielding before parking on the mailbox.
-const SPIN_LIMIT: u32 = 16;
-
-/// How long an idle pump iteration parks on the mailbox condvar before
-/// re-checking its pending send and the abort flag.
-const IDLE_PARK: Duration = Duration::from_micros(500);
 
 /// Why a sharded run failed. The runtime returns errors instead of
 /// panicking worker threads: a malformed frame or an overflowing encode
@@ -183,6 +175,8 @@ fn error_rank(e: &RuntimeError) -> u8 {
 
 /// Sharded message-passing executor with [`SyncExecutor`]-identical
 /// synchronous-round semantics.
+///
+/// [`SyncExecutor`]: selfstab_engine::sync::SyncExecutor
 pub struct RuntimeExecutor<'a, P: Protocol>
 where
     P::State: WireState,
@@ -190,7 +184,6 @@ where
     graph: &'a Graph,
     proto: &'a P,
     partition: Partition,
-    channel_cap: usize,
     schedule: Schedule,
     chaos: Option<FaultPlan>,
 }
@@ -256,8 +249,7 @@ where
     P::State: WireState,
 {
     /// New executor over `shards` worker shards (coarsening-based
-    /// partition, default channel capacity, [`Schedule::Active`] delta
-    /// beacons).
+    /// partition, [`Schedule::Active`] delta beacons).
     ///
     /// # Panics
     /// Panics if `shards == 0`.
@@ -284,20 +276,9 @@ where
             graph,
             proto,
             partition,
-            channel_cap: DEFAULT_CHANNEL_CAP,
             schedule: Schedule::default(),
             chaos: None,
         }
-    }
-
-    /// Override the per-channel frame bound.
-    ///
-    /// # Panics
-    /// Panics if `cap == 0`.
-    pub fn with_channel_cap(mut self, cap: usize) -> Self {
-        assert!(cap > 0, "channel capacity must be positive");
-        self.channel_cap = cap;
-        self
     }
 
     /// Choose between full per-round re-evaluation/re-broadcast and the
@@ -404,6 +385,8 @@ where
     /// journal their rounds locally (only when `O::ENABLED`) and the hooks
     /// replay on the calling thread after the workers join, so observers
     /// need not be `Send`.
+    ///
+    /// [`SyncExecutor::run_observed`]: selfstab_engine::sync::SyncExecutor::run_observed
     pub fn run_observed<O: Observer<P::State>>(
         &self,
         init: InitialState<P::State>,
@@ -438,15 +421,9 @@ where
         let initial = init.materialize(self.graph, self.proto);
         let plans = self.plans();
 
-        // One bounded mailbox per shard; every worker can send to every
-        // other shard's mailbox.
-        let mut senders: Vec<Sender<Vec<u8>>> = Vec::with_capacity(k);
-        let mut receivers: Vec<Receiver<Vec<u8>>> = Vec::with_capacity(k);
-        for _ in 0..k {
-            let (tx, rx) = bounded(self.channel_cap);
-            senders.push(tx);
-            receivers.push(rx);
-        }
+        // One mailbox per shard; every worker can send to every shard's
+        // mailbox.
+        let (senders, receivers): (Vec<_>, Vec<_>) = (0..k).map(|_| mailbox::<Vec<u8>>()).unzip();
 
         let barrier = PoisonBarrier::new(k);
         // Parity-indexed global move accumulators: round r adds to slot
@@ -463,7 +440,7 @@ where
                 .zip(receivers)
                 .enumerate()
                 .map(|(shard, (plan, mailbox))| {
-                    let senders = senders.clone();
+                    let senders = &senders[..];
                     let states = initial.clone();
                     let barrier = &barrier;
                     let accum = &accum;
@@ -488,16 +465,12 @@ where
                     })
                 })
                 .collect();
-            // The coordinator's sender clones must die or workers' final
-            // mailbox drops would still see live senders (harmless here,
-            // but keep ownership honest).
-            drop(senders);
             handles
                 .into_iter()
                 .enumerate()
                 .map(|(shard, h)| match h.join() {
                     Ok(result) => result,
-                    // The drop guard already poisoned the barrier.
+                    // The drop guard already released the peers.
                     Err(_) => Err(RuntimeError::WorkerPanic { shard }),
                 })
                 .collect()
@@ -559,7 +532,7 @@ struct ShardCtx<'scope, P: Protocol> {
     graph: &'scope Graph,
     proto: &'scope P,
     plan: ShardPlan,
-    senders: Vec<Sender<Vec<u8>>>,
+    senders: &'scope [Sender<Vec<u8>>],
     mailbox: Receiver<Vec<u8>>,
     barrier: &'scope PoisonBarrier,
     accum: &'scope [AtomicU64; 2],
@@ -599,20 +572,34 @@ struct ChaosState<S> {
     lagging: bool,
 }
 
-/// Poisons the barrier if the worker unwinds, so peers parked on it fail
-/// over to [`RuntimeError::Aborted`] instead of hanging.
-struct PanicGuard<'a>(&'a PoisonBarrier);
+/// Releases every peer of a failing worker, so each fails over to
+/// [`RuntimeError::Aborted`] instead of hanging: poisoning the barrier wakes
+/// peers parked on it, and closing every mailbox wakes peers blocked in a
+/// receive. Fires on an error return and, from `drop`, on a panic.
+struct FailGuard<'a> {
+    barrier: &'a PoisonBarrier,
+    senders: &'a [Sender<Vec<u8>>],
+}
 
-impl Drop for PanicGuard<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.poison();
+impl FailGuard<'_> {
+    fn fail(&self) {
+        self.barrier.poison();
+        for tx in self.senders {
+            tx.close();
         }
     }
 }
 
-/// The worker entry point: run the loop, and on *any* failure poison the
-/// barrier before returning so no peer is left parked.
+impl Drop for FailGuard<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.fail();
+        }
+    }
+}
+
+/// The worker entry point: run the loop, and on *any* failure release every
+/// peer before returning so none is left waiting.
 fn run_shard<P: Protocol>(
     ctx: ShardCtx<'_, P>,
     states: Vec<P::State>,
@@ -620,10 +607,13 @@ fn run_shard<P: Protocol>(
 where
     P::State: WireState,
 {
-    let guard = PanicGuard(ctx.barrier);
+    let guard = FailGuard {
+        barrier: ctx.barrier,
+        senders: ctx.senders,
+    };
     let result = shard_loop(ctx, states);
     if let Err(e) = &result {
-        guard.0.poison();
+        guard.fail();
         debug_assert!(!matches!(e, RuntimeError::WorkerPanic { .. }));
     }
     result
@@ -935,9 +925,8 @@ where
             graph,
             round,
             &plan,
-            &senders,
+            senders,
             &mailbox,
-            barrier,
             &mut states,
             moved_mask,
             next_active,
@@ -993,6 +982,7 @@ where
     })
 }
 
+#[derive(Default)]
 struct ExchangeStats {
     frames: u64,
     suppressed: u64,
@@ -1022,13 +1012,12 @@ fn span<T>(spans: Option<&mut PhaseSpans>, phase: Phase, f: impl FnOnce() -> T) 
     }
 }
 
-/// Pump the post-round boundary states out and the neighbors' in. Never
-/// blocks on a full peer channel: a stalled send always falls through to
-/// draining our own mailbox, which is what un-stalls the peer. When
-/// `moved` is given (active schedule), unmoved boundary nodes are
-/// suppressed from the batch — an empty batch still travels, so
-/// `expected_in` stays static — and every received beacon dirties its
-/// closed neighborhood in `next_active`.
+/// Send the post-round boundary states out, then take the neighbors' in:
+/// encode and send every batch of `plan.sends` in order, then block on the
+/// mailbox for exactly `plan.expected_in` batches. When `moved` is given
+/// (active schedule), unmoved boundary nodes are suppressed from the batch
+/// — an empty batch still travels, so `expected_in` stays static — and
+/// every received beacon dirties its closed neighborhood in `next_active`.
 #[allow(clippy::too_many_arguments)]
 fn exchange<P: Protocol>(
     shard: usize,
@@ -1037,7 +1026,6 @@ fn exchange<P: Protocol>(
     plan: &ShardPlan,
     senders: &[Sender<Vec<u8>>],
     mailbox: &Receiver<Vec<u8>>,
-    barrier: &PoisonBarrier,
     states: &mut [P::State],
     moved: Option<&[bool]>,
     mut next_active: Option<&mut ActiveSet>,
@@ -1048,101 +1036,64 @@ fn exchange<P: Protocol>(
 where
     P::State: WireState,
 {
-    let mut stats = ExchangeStats {
-        frames: 0,
-        suppressed: 0,
-        bytes: 0,
-        max_depth: 0,
-        dropped: 0,
-        duped: 0,
-        delayed: 0,
-        corrupted: 0,
-        inbox_max_depth: 0,
-        inbox_depth: 0,
-    };
+    let mut stats = ExchangeStats::default();
     // Exact: run_observed rejects max_rounds beyond u32 up front.
     let round_tag = round as u32;
-    let mut next = 0usize;
-    let mut pending: Option<(usize, u64, Vec<u8>)> = None;
-    let mut received = 0usize;
-    let mut idle_spins = 0u32;
-    while pending.is_some() || next < plan.sends.len() || received < plan.expected_in {
-        let mut progress = false;
-
-        if pending.is_none() && next < plan.sends.len() {
-            let t_enc = prof.is_some().then(std::time::Instant::now);
-            // Batch every beacon bound for shard `t` into one message.
-            let si = next;
-            let (t, nodes) = &plan.sends[si];
-            next += 1;
-            let mut batch = Vec::with_capacity(nodes.len() * (crate::wire::HEADER_LEN + 8));
-            let mut frames = 0u64;
-            if let (Some(f), Some(ch)) = (fault, chaos.as_deref_mut()) {
-                // Chaos path. First re-deliver any frames whose delay
-                // expires this round, *before* fresh frames, so a fresh
-                // value for the same node deterministically wins.
-                let mut di = 0;
-                while di < ch.delayed.len() {
-                    if ch.delayed[di].slot == si && ch.delayed[di].deliver_round == round {
-                        let d = ch.delayed.remove(di);
-                        Beacon {
-                            // Tagged with the *delivery* round: the staleness
-                            // is in the value, the frame itself obeys the
-                            // one-round-in-flight invariant.
-                            round: round_tag,
-                            node: d.node,
-                            state: d.state.clone(),
-                        }
-                        .encode_into(&mut batch)
-                        .map_err(|error| RuntimeError::Wire { shard, error })?;
-                        frames += 1;
-                        ch.acked[si][d.pos] = Some(d.state);
-                    } else {
-                        di += 1;
+    for (si, (t, nodes)) in plan.sends.iter().enumerate() {
+        let t_enc = prof.is_some().then(std::time::Instant::now);
+        // Batch every beacon bound for shard `t` into one message.
+        let mut batch = Vec::with_capacity(nodes.len() * (crate::wire::HEADER_LEN + 8));
+        let mut frames = 0u64;
+        if let (Some(f), Some(ch)) = (fault, chaos.as_deref_mut()) {
+            // Chaos path. First re-deliver any frames whose delay
+            // expires this round, *before* fresh frames, so a fresh
+            // value for the same node deterministically wins.
+            let mut di = 0;
+            while di < ch.delayed.len() {
+                if ch.delayed[di].slot == si && ch.delayed[di].deliver_round == round {
+                    let d = ch.delayed.remove(di);
+                    Beacon {
+                        // Tagged with the *delivery* round: the staleness
+                        // is in the value, the frame itself obeys the
+                        // one-round-in-flight invariant.
+                        round: round_tag,
+                        node: d.node,
+                        state: d.state.clone(),
                     }
+                    .encode_into(&mut batch)
+                    .map_err(|error| RuntimeError::Wire { shard, error })?;
+                    frames += 1;
+                    ch.acked[si][d.pos] = Some(d.state);
+                } else {
+                    di += 1;
                 }
-                // Fresh frames: under the active schedule, a beacon is sent
-                // iff the modeled receiver ghost disagrees with the current
-                // state — which both restores delta suppression *and*
-                // re-broadcasts anything chaos lost until it lands. The
-                // full schedule stays paper-literal and sends everything.
-                for (j, &v) in nodes.iter().enumerate() {
-                    let cur = &states[v.index()];
-                    if moved.is_some() && ch.acked[si][j].as_ref() == Some(cur) {
-                        stats.suppressed += 1;
-                        continue;
+            }
+            // Fresh frames: under the active schedule, a beacon is sent
+            // iff the modeled receiver ghost disagrees with the current
+            // state — which both restores delta suppression *and*
+            // re-broadcasts anything chaos lost until it lands. The
+            // full schedule stays paper-literal and sends everything.
+            for (j, &v) in nodes.iter().enumerate() {
+                let cur = &states[v.index()];
+                if moved.is_some() && ch.acked[si][j].as_ref() == Some(cur) {
+                    stats.suppressed += 1;
+                    continue;
+                }
+                match f.fate(round, v, *t) {
+                    FrameFate::Drop => stats.dropped += 1,
+                    FrameFate::Delay => {
+                        ch.delayed.push(DelayedFrame {
+                            deliver_round: round + f.delay_rounds,
+                            slot: si,
+                            pos: j,
+                            node: v,
+                            state: cur.clone(),
+                        });
+                        stats.delayed += 1;
                     }
-                    match f.fate(round, v, *t) {
-                        FrameFate::Drop => stats.dropped += 1,
-                        FrameFate::Delay => {
-                            ch.delayed.push(DelayedFrame {
-                                deliver_round: round + f.delay_rounds,
-                                slot: si,
-                                pos: j,
-                                node: v,
-                                state: cur.clone(),
-                            });
-                            stats.delayed += 1;
-                        }
-                        fate @ (FrameFate::Deliver | FrameFate::Duplicate) => {
-                            let copies = if fate == FrameFate::Duplicate { 2 } else { 1 };
-                            for _ in 0..copies {
-                                Beacon {
-                                    round: round_tag,
-                                    node: v,
-                                    state: cur.clone(),
-                                }
-                                .encode_into(&mut batch)
-                                .map_err(|error| RuntimeError::Wire { shard, error })?;
-                                frames += 1;
-                            }
-                            if copies == 2 {
-                                stats.duped += 1;
-                            }
-                            ch.acked[si][j] = Some(cur.clone());
-                        }
-                        FrameFate::Corrupt => {
-                            let start = batch.len();
+                    fate @ (FrameFate::Deliver | FrameFate::Duplicate) => {
+                        let copies = if fate == FrameFate::Duplicate { 2 } else { 1 };
+                        for _ in 0..copies {
                             Beacon {
                                 round: round_tag,
                                 node: v,
@@ -1150,121 +1101,112 @@ where
                             }
                             .encode_into(&mut batch)
                             .map_err(|error| RuntimeError::Wire { shard, error })?;
-                            f.corrupt_frame(round, v, &mut batch[start..]);
                             frames += 1;
-                            // The receiver detects and discards the frame;
-                            // `acked` stays stale, forcing a re-broadcast.
                         }
+                        if copies == 2 {
+                            stats.duped += 1;
+                        }
+                        ch.acked[si][j] = Some(cur.clone());
+                    }
+                    FrameFate::Corrupt => {
+                        let start = batch.len();
+                        Beacon {
+                            round: round_tag,
+                            node: v,
+                            state: cur.clone(),
+                        }
+                        .encode_into(&mut batch)
+                        .map_err(|error| RuntimeError::Wire { shard, error })?;
+                        f.corrupt_frame(round, v, &mut batch[start..]);
+                        frames += 1;
+                        // The receiver detects and discards the frame;
+                        // `acked` stays stale, forcing a re-broadcast.
                     }
                 }
-            } else {
-                for &v in nodes {
-                    if let Some(moved) = moved {
-                        if !moved[v.index()] {
-                            stats.suppressed += 1;
+            }
+        } else {
+            for &v in nodes {
+                if let Some(moved) = moved {
+                    if !moved[v.index()] {
+                        stats.suppressed += 1;
+                        continue;
+                    }
+                }
+                Beacon {
+                    round: round_tag,
+                    node: v,
+                    state: states[v.index()].clone(),
+                }
+                .encode_into(&mut batch)
+                .map_err(|error| RuntimeError::Wire { shard, error })?;
+                frames += 1;
+            }
+        }
+        if let (Some(t0), Some(sp)) = (t_enc, prof.as_mut()) {
+            sp.add_nanos(Phase::Encode, t0.elapsed().as_nanos() as u64);
+        }
+        let t_send = prof.is_some().then(std::time::Instant::now);
+        let len = batch.len() as u64;
+        // A closed mailbox means a peer failed; fold into the abort path
+        // (the peer's own error outranks ours).
+        let depth = senders[*t]
+            .send(batch)
+            .map_err(|_| RuntimeError::Aborted { shard })?;
+        stats.frames += frames;
+        stats.bytes += len;
+        stats.max_depth = stats.max_depth.max(depth as u64);
+        if let (Some(t0), Some(sp)) = (t_send, prof.as_mut()) {
+            sp.add_nanos(Phase::Send, t0.elapsed().as_nanos() as u64);
+        }
+    }
+
+    // Waiting and decoding both bill to `recv_wait`: from the shard's point
+    // of view it is the time spent waiting on (or absorbing) the rest of
+    // the cluster.
+    let t_recv = prof.is_some().then(std::time::Instant::now);
+    for _ in 0..plan.expected_in {
+        // `None` means a failing peer closed the mailbox.
+        let bytes = mailbox.recv().ok_or(RuntimeError::Aborted { shard })?;
+        let mut rest = &bytes[..];
+        while !rest.is_empty() {
+            let (beacon, used) = match Beacon::<P::State>::decode_prefix(rest) {
+                Ok(decoded) => decoded,
+                Err(error) => {
+                    // Under a fault plan a bit-corrupted frame is an
+                    // *expected* event: strict decoding is the detection
+                    // mechanism, and the untouched length field lets us
+                    // discard exactly the bad frame and keep walking the
+                    // batch. Without a plan (or if the extent itself is
+                    // gone) a malformed frame is still fatal.
+                    if fault.is_some() {
+                        if let Some(extent) = frame_extent(rest) {
+                            stats.corrupted += 1;
+                            rest = &rest[extent..];
                             continue;
                         }
                     }
-                    Beacon {
-                        round: round_tag,
-                        node: v,
-                        state: states[v.index()].clone(),
-                    }
-                    .encode_into(&mut batch)
-                    .map_err(|error| RuntimeError::Wire { shard, error })?;
-                    frames += 1;
+                    return Err(RuntimeError::Wire { shard, error });
                 }
+            };
+            if beacon.round != round_tag {
+                return Err(RuntimeError::RoundTag {
+                    shard,
+                    got: beacon.round,
+                    expected: round_tag,
+                });
             }
-            pending = Some((*t, frames, batch));
-            if let (Some(t0), Some(sp)) = (t_enc, prof.as_mut()) {
-                sp.add_nanos(Phase::Encode, t0.elapsed().as_nanos() as u64);
+            states[beacon.node.index()] = beacon.state;
+            if let Some(next_active) = next_active.as_deref_mut() {
+                // Receipt == the sender moved this round: its closed
+                // neighborhood (our side of it) is dirty for the next.
+                next_active.insert_closed(graph, beacon.node);
             }
-        }
-        if let Some((t, frames, bytes)) = pending.take() {
-            let t_send = prof.is_some().then(std::time::Instant::now);
-            let len = bytes.len() as u64;
-            match senders[t].try_send(bytes) {
-                Ok(()) => {
-                    stats.frames += frames;
-                    stats.bytes += len;
-                    stats.max_depth = stats.max_depth.max(senders[t].depth() as u64);
-                    progress = true;
-                }
-                Err(TrySendError::Full(bytes)) => pending = Some((t, frames, bytes)),
-                // A peer tearing down dropped its mailbox; fold into the
-                // abort path (the peer's own error outranks ours).
-                Err(TrySendError::Disconnected(_)) => return Err(RuntimeError::Aborted { shard }),
-            }
-            if let (Some(t0), Some(sp)) = (t_send, prof.as_mut()) {
-                sp.add_nanos(Phase::Send, t0.elapsed().as_nanos() as u64);
-            }
-        }
-
-        let t_recv = prof.is_some().then(std::time::Instant::now);
-        while let Some(bytes) = mailbox.try_recv() {
-            let mut rest = &bytes[..];
-            while !rest.is_empty() {
-                let (beacon, used) = match Beacon::<P::State>::decode_prefix(rest) {
-                    Ok(decoded) => decoded,
-                    Err(error) => {
-                        // Under a fault plan a bit-corrupted frame is an
-                        // *expected* event: strict decoding is the detection
-                        // mechanism, and the untouched length field lets us
-                        // discard exactly the bad frame and keep walking the
-                        // batch. Without a plan (or if the extent itself is
-                        // gone) a malformed frame is still fatal.
-                        if fault.is_some() {
-                            if let Some(extent) = frame_extent(rest) {
-                                stats.corrupted += 1;
-                                rest = &rest[extent..];
-                                continue;
-                            }
-                        }
-                        return Err(RuntimeError::Wire { shard, error });
-                    }
-                };
-                if beacon.round != round_tag {
-                    return Err(RuntimeError::RoundTag {
-                        shard,
-                        got: beacon.round,
-                        expected: round_tag,
-                    });
-                }
-                states[beacon.node.index()] = beacon.state;
-                if let Some(next_active) = next_active.as_deref_mut() {
-                    // Receipt == the sender moved this round: its closed
-                    // neighborhood (our side of it) is dirty for the next.
-                    next_active.insert_closed(graph, beacon.node);
-                }
-                rest = &rest[used..];
-            }
-            received += 1;
-            progress = true;
-        }
-
-        if progress {
-            idle_spins = 0;
-        } else {
-            if barrier.is_poisoned() {
-                return Err(RuntimeError::Aborted { shard });
-            }
-            idle_spins += 1;
-            if idle_spins <= SPIN_LIMIT {
-                std::thread::yield_now();
-            } else {
-                // Park on the mailbox condvar; the bound keeps pending
-                // sends retried and the poison flag observed.
-                mailbox.wait_nonempty(IDLE_PARK);
-            }
-        }
-        if let (Some(t0), Some(sp)) = (t_recv, prof.as_mut()) {
-            // Draining, decoding, and idle parking all bill to `recv_wait`:
-            // from the shard's point of view it is the time spent waiting
-            // on (or absorbing) the rest of the cluster.
-            sp.add_nanos(Phase::RecvWait, t0.elapsed().as_nanos() as u64);
+            rest = &rest[used..];
         }
     }
-    debug_assert_eq!(received, plan.expected_in);
+    if let (Some(t0), Some(sp)) = (t_recv, prof.as_mut()) {
+        sp.add_nanos(Phase::RecvWait, t0.elapsed().as_nanos() as u64);
+    }
     if let (Some(_), Some(ch)) = (fault, chaos) {
         // A ghost we model as stale (or unknown, after a crash) means the
         // global state is not yet coherent: raise the lagging signal so
@@ -1278,17 +1220,26 @@ where
                 .any(|(j, &v)| ch.acked[si][j].as_ref() != Some(&states[v.index()]))
         });
     }
+    // Consume (and re-arm) the inbox high-water mark so each round's gauge
+    // reflects that round alone. With at most one round in flight it never
+    // exceeds the batches this shard expects, which is why the mailbox
+    // needs no capacity.
+    let inbox_max_depth = mailbox.take_max_depth();
+    debug_assert!(
+        inbox_max_depth <= plan.expected_in,
+        "shard {shard}: inbox held {inbox_max_depth} batches, expected at most {}",
+        plan.expected_in
+    );
     if prof.is_some() {
-        // Consume (and re-arm) the inbox high-water mark so each round's
-        // gauge reflects that round's backpressure, not a cumulative max.
-        stats.inbox_max_depth = mailbox.take_max_depth() as u64;
+        stats.inbox_max_depth = inbox_max_depth as u64;
         stats.inbox_depth = mailbox.depth() as u64;
     }
     Ok(stats)
 }
 
 /// Re-fire the observer hooks on the coordinator from the workers'
-/// journals, in [`SyncExecutor`]'s order: per round, moves sorted by node.
+/// journals, in the serial executor's order: per round, moves sorted by
+/// node.
 fn replay_journals<S: Clone + PartialEq + std::fmt::Debug, O: Observer<S>>(
     obs: &mut O,
     initial: &[S],
@@ -1388,53 +1339,55 @@ fn replay_journals<S: Clone + PartialEq + std::fmt::Debug, O: Observer<S>>(
     obs.on_finish(outcome, final_states);
 }
 
-/// Convenience: assert a runtime run matches the serial executor on the
-/// same inputs (used by tests and the CI smoke target). The serial run is
-/// done under both schedules and the runtime under its default (active)
-/// schedule, so a pass pins all three to the same execution.
-pub fn assert_matches_sync<P: Protocol>(
-    graph: &Graph,
-    proto: &P,
-    init: InitialState<P::State>,
-    max_rounds: usize,
-    shards: usize,
-) where
-    P::State: WireState,
-{
-    let serial = SyncExecutor::new(graph, proto)
-        .with_schedule(Schedule::Full)
-        .run(init.clone(), max_rounds);
-    let serial_active = SyncExecutor::new(graph, proto)
-        .with_schedule(Schedule::Active)
-        .run(init.clone(), max_rounds);
-    assert_eq!(serial.outcome, serial_active.outcome, "outcome (schedule)");
-    assert_eq!(serial.rounds, serial_active.rounds, "rounds (schedule)");
-    assert_eq!(
-        serial.final_states, serial_active.final_states,
-        "final states (schedule)"
-    );
-    let sharded = RuntimeExecutor::new(graph, proto, shards)
-        .run(init, max_rounds)
-        .expect("runtime run failed");
-    assert_eq!(serial.outcome, sharded.outcome, "outcome (shards={shards})");
-    assert_eq!(serial.rounds, sharded.rounds, "rounds (shards={shards})");
-    assert_eq!(
-        serial.moves_per_rule, sharded.moves_per_rule,
-        "moves per rule (shards={shards})"
-    );
-    assert_eq!(
-        serial.final_states, sharded.final_states,
-        "final states (shards={shards})"
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use selfstab_core::smi::Smi;
     use selfstab_core::smm::{SelectPolicy, Smm};
-    use selfstab_engine::obs::MetricsCollector;
+    use selfstab_engine::obs::{JsonlEventLog, MetricsCollector};
+    use selfstab_engine::sync::SyncExecutor;
     use selfstab_graph::{generators, Ids};
+    use selfstab_json::Json;
+
+    /// Assert a runtime run matches the serial executor on the same inputs.
+    /// The serial run is done under both schedules and the runtime under its
+    /// default (active) schedule, so a pass pins all three to the same
+    /// execution.
+    fn assert_matches_sync<P: Protocol>(
+        graph: &Graph,
+        proto: &P,
+        init: InitialState<P::State>,
+        max_rounds: usize,
+        shards: usize,
+    ) where
+        P::State: WireState,
+    {
+        let serial = SyncExecutor::new(graph, proto)
+            .with_schedule(Schedule::Full)
+            .run(init.clone(), max_rounds);
+        let serial_active = SyncExecutor::new(graph, proto)
+            .with_schedule(Schedule::Active)
+            .run(init.clone(), max_rounds);
+        assert_eq!(serial.outcome, serial_active.outcome, "outcome (schedule)");
+        assert_eq!(serial.rounds, serial_active.rounds, "rounds (schedule)");
+        assert_eq!(
+            serial.final_states, serial_active.final_states,
+            "final states (schedule)"
+        );
+        let sharded = RuntimeExecutor::new(graph, proto, shards)
+            .run(init, max_rounds)
+            .expect("runtime run failed");
+        assert_eq!(serial.outcome, sharded.outcome, "outcome (shards={shards})");
+        assert_eq!(serial.rounds, sharded.rounds, "rounds (shards={shards})");
+        assert_eq!(
+            serial.moves_per_rule, sharded.moves_per_rule,
+            "moves per rule (shards={shards})"
+        );
+        assert_eq!(
+            serial.final_states, sharded.final_states,
+            "final states (shards={shards})"
+        );
+    }
 
     #[test]
     fn matches_sync_executor_on_smm() {
@@ -1580,21 +1533,6 @@ mod tests {
     }
 
     #[test]
-    fn tiny_channel_capacity_still_completes() {
-        // Capacity 1 forces maximal backpressure; the pump must still
-        // deliver every frame without deadlock.
-        let g = generators::complete(12);
-        let smm = Smm::paper(Ids::identity(g.n()));
-        let run_small = RuntimeExecutor::new(&g, &smm, 4)
-            .with_channel_cap(1)
-            .run(InitialState::Random { seed: 5 }, g.n() + 1)
-            .unwrap();
-        let serial = SyncExecutor::new(&g, &smm).run(InitialState::Random { seed: 5 }, g.n() + 1);
-        assert_eq!(run_small.final_states, serial.final_states);
-        assert_eq!(run_small.rounds, serial.rounds);
-    }
-
-    #[test]
     fn observer_replay_matches_serial_hooks() {
         let g = generators::grid(4, 4);
         let smm = Smm::paper(Ids::identity(g.n()));
@@ -1623,6 +1561,71 @@ mod tests {
             );
         }
         assert_eq!(serial_m.outcome(), sharded_m.outcome());
+    }
+
+    #[test]
+    fn mailbox_depth_never_exceeds_the_neighbouring_shards() {
+        // One batch per directed shard pair per round and at most one round
+        // in flight: no mailbox ever holds more than K − 1 batches, clean or
+        // under frame chaos. That bound is why the mailbox has no capacity.
+        // On the complete graph every shard sends every other one a batch,
+        // so the bound is reachable.
+        for g in [generators::grid(6, 6), generators::complete(12)] {
+            let smm = Smm::paper(Ids::identity(g.n()));
+            for shards in [2, 4, 8] {
+                let plans = [
+                    None,
+                    Some(FaultPlan::parse_spec("drop=0.2,dup=0.2,delay=2", 7).unwrap()),
+                ];
+                for plan in plans {
+                    let mut exec = RuntimeExecutor::new(&g, &smm, shards);
+                    if let Some(plan) = plan {
+                        exec = exec.with_chaos(plan);
+                    }
+                    let mut m = MetricsCollector::new();
+                    exec.run_observed(InitialState::Random { seed: 3 }, 200, &mut m)
+                        .unwrap();
+                    assert!(!m.rounds().is_empty());
+                    let bound = shards as u64 - 1;
+                    for r in m.rounds() {
+                        let rt = r.runtime.as_ref().unwrap();
+                        assert!(rt.max_channel_depth <= bound, "round {}", r.round);
+                        for lane in &r.profile.as_ref().unwrap().shards {
+                            assert!(lane.inbox_max_depth <= bound, "round {}", r.round);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn jsonl_round_end_renders_the_collectors_runtime_object() {
+        let g = generators::grid(6, 6);
+        let smm = Smm::paper(Ids::identity(g.n()));
+        let mut m = MetricsCollector::new();
+        let mut log = JsonlEventLog::new();
+        RuntimeExecutor::new(&g, &smm, 3)
+            .run_observed(
+                InitialState::Random { seed: 4 },
+                g.n() + 1,
+                &mut (&mut m, &mut log),
+            )
+            .unwrap();
+        let collected = m.to_json();
+        let collected = collected.get("rounds").and_then(Json::as_array).unwrap();
+        let logged: Vec<Json> = log
+            .lines()
+            .iter()
+            .map(|line| Json::parse(line).unwrap())
+            .filter(|e| e.get("event").and_then(Json::as_str) == Some("round_end"))
+            .collect();
+        assert!(!logged.is_empty());
+        assert_eq!(logged.len(), collected.len());
+        for (line, round) in logged.iter().zip(collected) {
+            assert_eq!(line.get("runtime"), round.get("runtime"));
+            assert!(line.get("runtime").is_some());
+        }
     }
 
     #[test]

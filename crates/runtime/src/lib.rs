@@ -6,8 +6,10 @@
 //! crate re-introduces the paper's *messages*: the graph is partitioned
 //! into K shards ([`selfstab_core::partition`]), one mailbox worker per
 //! shard owns its nodes' states, and neighbor states cross shard
-//! boundaries as compact binary [`wire::Beacon`] frames through bounded
-//! [`channel`]s with explicit backpressure.
+//! boundaries as compact binary [`wire::Beacon`] frames through per-shard
+//! [`channel`] mailboxes. The round protocol bounds every mailbox by
+//! construction, so they need no capacity: a worker sends each round's
+//! batches, then blocks until its expected batches have arrived.
 //!
 //! The centerpiece is [`RuntimeExecutor`]: for any
 //! [`Protocol`](selfstab_engine::protocol::Protocol) whose state is
@@ -31,5 +33,5 @@ pub mod wire;
 
 pub use barrier::{PoisonBarrier, Poisoned};
 pub use chaos::{run_churned_sharded, CrashSpec, FaultPlan, FrameFate};
-pub use executor::{assert_matches_sync, RuntimeError, RuntimeExecutor, DEFAULT_CHANNEL_CAP};
+pub use executor::{RuntimeError, RuntimeExecutor};
 pub use wire::{frame_extent, Beacon, HEADER_LEN, WIRE_VERSION};

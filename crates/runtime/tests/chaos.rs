@@ -237,7 +237,6 @@ fn sharded_churn_matches_the_serial_reference() {
             shards,
             Schedule::Active,
             None,
-            None,
             &churn,
             init.clone(),
             8 * g.n(),
@@ -276,7 +275,6 @@ fn churn_composes_with_frame_chaos_and_stays_deterministic() {
             &smi,
             4,
             Schedule::Active,
-            None,
             Some(&plan),
             &churn,
             InitialState::Random { seed: 21 },

@@ -186,3 +186,127 @@ fn panicking_worker_is_reported_and_peers_are_released() {
         "expected WorkerPanic, got {err:?}"
     );
 }
+
+/// A flip state carrying a `faulty` mark. Exactly one node is marked, and
+/// only its post-flip beacon fails to encode: by overflowing the u16
+/// payload-length field, or (with `PANIC`) by panicking. Every other
+/// beacon is one byte and crosses the wire cleanly.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+struct Marked<const PANIC: bool> {
+    on: bool,
+    faulty: bool,
+}
+
+impl<const PANIC: bool> WireState for Marked<PANIC> {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        if self.faulty && self.on {
+            if PANIC {
+                panic!("injected encode bug on the marked node");
+            }
+            buf.resize(buf.len() + 70_000, 0xAB);
+        } else {
+            buf.push(u8::from(self.on));
+        }
+    }
+    fn decode_prefix(bytes: &[u8]) -> Result<(Self, usize), WireError> {
+        match bytes.first() {
+            None => Err(WireError::Truncated),
+            Some(&b @ (0 | 1)) => Ok((
+                Marked {
+                    on: b == 1,
+                    faulty: false,
+                },
+                1,
+            )),
+            Some(&t) => Err(WireError::BadTag(t)),
+        }
+    }
+}
+
+struct MarkedProto<const PANIC: bool>;
+
+impl<const PANIC: bool> Protocol for MarkedProto<PANIC> {
+    type State = Marked<PANIC>;
+    fn rule_names(&self) -> &'static [&'static str] {
+        &["flip"]
+    }
+    fn default_state(&self) -> Self::State {
+        Marked {
+            on: false,
+            faulty: false,
+        }
+    }
+    fn arbitrary_state(&self, _: Node, _: &[Node], _: &mut StdRng) -> Self::State {
+        self.default_state()
+    }
+    fn enumerate_states(&self, _: Node, _: &[Node]) -> Vec<Self::State> {
+        [false, true]
+            .map(|on| Marked { on, faulty: false })
+            .to_vec()
+    }
+    fn step(&self, view: View<'_, Self::State>) -> Option<Move<Self::State>> {
+        let own = *view.own();
+        (!own.on).then_some(Move {
+            rule: 0,
+            next: Marked { on: true, ..own },
+        })
+    }
+}
+
+/// Run a 4-shard flip run on a 4×4 grid in which the first boundary node
+/// is marked, on its own thread; fail if no result arrives within 30 s.
+/// Every node flips in round 1, so the marked node's owner fails while
+/// encoding its round-1 batches and each peer expecting one of them is
+/// blocked on its mailbox; only the failing worker can wake it.
+fn one_worker_fails_mid_exchange<const PANIC: bool>() -> RuntimeError {
+    let (done, result) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let g = generators::grid(4, 4);
+        let exec = RuntimeExecutor::new(&g, &MarkedProto::<PANIC>, 4);
+        let shard_of = &exec.partition().shard_of;
+        let marked = g
+            .nodes()
+            .find(|&v| {
+                g.neighbors(v)
+                    .iter()
+                    .any(|w| shard_of[w.index()] != shard_of[v.index()])
+            })
+            .expect("four shards on a grid have boundary nodes");
+        let init = g
+            .nodes()
+            .map(|v| Marked {
+                on: false,
+                faulty: v == marked,
+            })
+            .collect();
+        let outcome = exec.run(InitialState::Explicit(init), 10);
+        done.send(outcome.map(|run| run.rounds))
+            .expect("watchdog alive");
+    });
+    let outcome = result
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("watchdog: a peer stayed blocked on the failed worker's batch");
+    worker.join().unwrap();
+    outcome.expect_err("the marked beacon cannot cross the wire")
+}
+
+#[test]
+fn one_oversized_beacon_releases_peers_waiting_for_its_batch() {
+    match one_worker_fails_mid_exchange::<false>() {
+        RuntimeError::Wire {
+            error: WireError::PayloadTooLarge(_),
+            ..
+        } => {}
+        other => panic!("expected a payload error, got {other:?}"),
+    }
+}
+
+#[test]
+fn one_panicking_encode_releases_peers_waiting_for_its_batch() {
+    // (The worker's panic message on stderr is expected test output.)
+    let err = one_worker_fails_mid_exchange::<true>();
+    assert!(
+        matches!(err, RuntimeError::WorkerPanic { .. }),
+        "expected WorkerPanic, got {err:?}"
+    );
+}

@@ -244,7 +244,7 @@ where
         summary.drained += 1;
         count_drained(&r, &mut summary);
     }
-    svc.settle(clock, obs);
+    svc.settle(obs);
     hooks.tick(svc, transport, clock);
     summary
 }

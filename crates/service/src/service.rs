@@ -92,7 +92,6 @@ pub struct OverlayService<'a, P: OverlayProtocol> {
     /// Mutations applied so far; the last event's `seq`.
     seq: u64,
     recovery_hist: Histogram,
-    moves_per_rule: Vec<u64>,
     /// Live telemetry registry; `None` keeps the drain path clock-free
     /// (the registry is the only reason `apply_one` would read the clock).
     telemetry: Option<Arc<Telemetry>>,
@@ -120,7 +119,6 @@ impl<'a, P: OverlayProtocol> OverlayService<'a, P> {
             pending: VecDeque::new(),
             seq: 0,
             recovery_hist: Histogram::new(),
-            moves_per_rule: vec![0; proto.rule_names().len()],
             telemetry: None,
             accept_failures: 0,
         }
@@ -140,11 +138,6 @@ impl<'a, P: OverlayProtocol> OverlayService<'a, P> {
     pub fn with_clock_rounds(mut self, clock_rounds: usize) -> Self {
         self.clock_rounds = clock_rounds;
         self
-    }
-
-    /// The attached telemetry registry, if any.
-    pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
-        self.telemetry.as_ref()
     }
 
     /// The `telemetry` query body; errors when no registry is attached.
@@ -203,11 +196,6 @@ impl<'a, P: OverlayProtocol> OverlayService<'a, P> {
         self.converged
     }
 
-    /// Cumulative moves per protocol rule across the service lifetime.
-    pub fn moves_per_rule(&self) -> &[u64] {
-        &self.moves_per_rule
-    }
-
     /// The re-stabilization latency histogram (rounds per event; the
     /// bootstrap convergence is excluded).
     pub fn recovery_hist(&self) -> &Histogram {
@@ -235,9 +223,6 @@ impl<'a, P: OverlayProtocol> OverlayService<'a, P> {
                 Vec::new(),
                 obs,
             );
-            for (slot, c) in self.moves_per_rule.iter_mut().zip(&stats.moves_per_rule) {
-                *slot += c;
-            }
             moves_total += privileged as u64;
             rounds += 1;
             if O::ENABLED {
@@ -403,7 +388,7 @@ impl<'a, P: OverlayProtocol> OverlayService<'a, P> {
     /// the rounds spent (0 when already converged). The daemon calls this
     /// on shutdown so the snapshot it writes is legitimate even when a
     /// tight per-event budget left work pending.
-    pub fn settle<O: Observer<P::State>>(&mut self, _clock: &dyn Clock, obs: &mut O) -> usize {
+    pub fn settle<O: Observer<P::State>>(&mut self, obs: &mut O) -> usize {
         let budget = self.graph.n() + 2;
         self.converge(budget, obs).0
     }
@@ -457,11 +442,6 @@ impl<'a, P: OverlayProtocol> OverlayService<'a, P> {
     /// Census answer for the `census` query.
     pub fn census_json(&self) -> Json {
         self.proto.census(&self.graph, &self.states)
-    }
-
-    /// Tear down into `(graph, states, clock_rounds)` for snapshotting.
-    pub fn into_parts(self) -> (Graph, Vec<P::State>, usize) {
-        (self.graph, self.states, self.clock_rounds)
     }
 }
 
@@ -560,7 +540,7 @@ mod tests {
         assert!(rec.recovery_rounds <= 1, "budget caps per-event rounds");
         // One round may or may not finish the repair; settle() must always
         // drain the carried-over dirty set to a legitimate fixpoint.
-        s.settle(&clock, &mut ());
+        s.settle(&mut ());
         assert!(s.is_converged());
         assert!(s.proto().is_legitimate(s.graph(), s.states()));
     }

@@ -195,7 +195,7 @@ fn budget_cap_carries_frontier_to_settle() {
     }
     assert!(carried > 0, "some event must end with work carried forward");
 
-    rounds += svc.settle(&clock, &mut ());
+    rounds += svc.settle(&mut ());
     assert_eq!(
         svc.clock_rounds(),
         rounds,

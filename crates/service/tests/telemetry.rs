@@ -74,7 +74,7 @@ fn unobserved_drain_reads_no_clock() {
     }
     let records = svc.drain(&clock, &mut ());
     assert!(records.iter().all(|r| r.is_ok()));
-    svc.settle(&clock, &mut ());
+    svc.settle(&mut ());
     assert_eq!(
         clock.reads.get(),
         0,

@@ -4,9 +4,9 @@
 //! A random geometric graph (the ad hoc network model) is partitioned by
 //! multilevel heavy-edge coarsening; one mailbox worker per shard owns its
 //! nodes' SMM states, and boundary states cross shards as encoded beacon
-//! frames through bounded channels. The run is state-for-state identical to
-//! the serial executor — while the observer's wire counters show the
-//! messages that made it so.
+//! frames, one batch per neighbouring shard per round, into each shard's
+//! mailbox. The run is state-for-state identical to the serial executor —
+//! while the observer's wire counters show the messages that made it so.
 //!
 //! ```text
 //! cargo run --example runtime_shards

@@ -16,7 +16,7 @@
 //!   greedy oracles, derived applications, and the extension protocols
 //!   ([`core::coloring`], [`core::anonymous`], [`core::bfs_tree`]),
 //! * [`runtime`] — sharded message-passing runtime: mailbox worker per
-//!   shard, boundary states as beacon wire frames over bounded channels,
+//!   shard, boundary states as beacon wire frames between shard mailboxes,
 //!   per-round barrier = the paper's synchronous round
 //!   ([`runtime::RuntimeExecutor`] is state-identical to the serial
 //!   executor at any shard count),
