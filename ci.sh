@@ -205,13 +205,19 @@ cargo run --release -p selfstab-bench --bin harness -- --quick e21 \
 echo "==> service smoke (sim backend: scripted mutations, census/membership asserted, clean exit)"
 # The resident service replays a deterministic mutation/query script through
 # the sim environment: cut an edge of the C6 matching, crash and rejoin a
-# node, then assert the census and membership answers and a settled exit.
+# node, then assert the census, every node's membership answer and a
+# settled exit.
 cat > "$PROFILE_DIR/service-script.jsonl" <<'EOF'
 {"op":"query","what":"status","tag":"boot"}
 {"op":"mutate","kind":"edge-down","a":0,"b":1}
 {"op":"mutate","kind":"node-leave","v":3}
 {"op":"mutate","kind":"node-join","v":3,"attach":[2,4]}
+{"op":"query","what":"membership","node":0}
+{"op":"query","what":"membership","node":1}
 {"op":"query","what":"membership","node":2}
+{"op":"query","what":"membership","node":3}
+{"op":"query","what":"membership","node":4}
+{"op":"query","what":"membership","node":5}
 {"op":"query","what":"census"}
 {"op":"shutdown"}
 EOF
@@ -223,6 +229,19 @@ echo "$SERVE_OUT" | grep -F '"tag":"boot"' >/dev/null \
     || { echo "service should echo the request tag" >&2; exit 1; }
 echo "$SERVE_OUT" | grep -F '"node":2,"matched":true' >/dev/null \
     || { echo "node 2 should be matched after the churn script" >&2; exit 1; }
+# Every SMM point reply, byte for byte: each node's partner is read from its
+# own pointer and its partner's back-pointer.
+while IFS= read -r reply; do
+    echo "$SERVE_OUT" | grep -Fx "$reply" >/dev/null \
+        || { echo "membership reply missing or changed: $reply" >&2; exit 1; }
+done <<'EOF'
+{"ok":true,"node":0,"matched":false,"partner":null}
+{"ok":true,"node":1,"matched":true,"partner":2}
+{"ok":true,"node":2,"matched":true,"partner":1}
+{"ok":true,"node":3,"matched":false,"partner":null}
+{"ok":true,"node":4,"matched":true,"partner":5}
+{"ok":true,"node":5,"matched":true,"partner":4}
+EOF
 echo "$SERVE_OUT" | grep -F '"M":4,"A0":2,"A1":0,"PA":0,"PM":0,"PP":0,"DANGLING":0,"matched_pairs":2' >/dev/null \
     || { echo "census should report the deterministic post-churn Fig. 2 counts" >&2; exit 1; }
 echo "$SERVE_OUT" | grep -F "session: outcome=client-shutdown" >/dev/null \

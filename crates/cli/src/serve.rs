@@ -167,7 +167,7 @@ where
                 &mut transport,
                 &clock,
                 &shutdown,
-                1_000,
+                0,
                 &mut jsonl.as_mut(),
                 ServeHooks {
                     telemetry: telemetry.clone(),
@@ -311,7 +311,7 @@ where
         &mut transport,
         &clock,
         &shutdown,
-        20_000,
+        0,
         &mut jsonl.as_mut(),
         hooks,
     );
@@ -491,6 +491,42 @@ mod tests {
             .filter(|l| l.contains("\"event\":\"service-telemetry\""))
             .count();
         assert_eq!(track_lines, table.len(), "{artifact}");
+    }
+
+    #[test]
+    fn resume_rejects_a_node_count_past_the_index_range() {
+        let tmp = |name: &str| {
+            std::env::temp_dir().join(format!("selfstab-serve-{}-{name}", std::process::id()))
+        };
+        let (snapshot, script) = (tmp("huge-n.json"), tmp("huge-n.jsonl"));
+        std::fs::write(
+            &snapshot,
+            concat!(
+                r#"{"format":"selfstab-snapshot/v1","protocol":"smm","n":5000000000,"#,
+                r#""clock_rounds":0,"edges":[],"states":"00"}"#,
+            ),
+        )
+        .unwrap();
+        std::fs::write(&script, "{\"op\":\"shutdown\"}\n").unwrap();
+        let argv: Vec<String> = [
+            "serve",
+            "--protocol",
+            "smm",
+            "--resume",
+            snapshot.to_str().unwrap(),
+            "--script",
+            script.to_str().unwrap(),
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        let mut out = Vec::new();
+        let code = crate::main_with(&argv, &mut out);
+        let _ = std::fs::remove_file(&snapshot);
+        let _ = std::fs::remove_file(&script);
+        let out = String::from_utf8(out).unwrap();
+        assert_eq!(code, 2, "{out}");
+        assert!(out.contains("--resume") && out.contains("`n`"), "{out}");
     }
 
     #[test]

@@ -188,29 +188,36 @@ impl Smm {
         &self.ids
     }
 
-    /// The matched pairs `i ↔ j` of a global state, as normalized edges.
+    /// The node `v` is matched to (`v ↔ p`), if any: the one definition of
+    /// "matched" every other helper reads.
     ///
-    /// Only mutual pointers along current edges count; dangling or
-    /// unrequited pointers do not.
+    /// Only a mutual pointer along a current edge counts; a dangling or
+    /// unrequited pointer does not, and neither does one past the end of
+    /// `states` (explicit or resumed states can hold one). O(log deg): the
+    /// back-pointer is checked first, so most unmatched nodes cost one load.
+    #[inline]
+    pub fn partner(graph: &Graph, states: &[Pointer], v: Node) -> Option<Node> {
+        let p = states[v.index()].0?;
+        (states.get(p.index())?.0 == Some(v) && graph.has_edge(v, p)).then_some(p)
+    }
+
+    /// The matched pairs `i ↔ j` of a global state, as normalized edges.
     pub fn matched_edges(graph: &Graph, states: &[Pointer]) -> Vec<Edge> {
         graph
             .nodes()
             .filter_map(|i| {
-                let j = states[i.index()].0?;
-                (i < j && graph.has_edge(i, j) && states[j.index()].0 == Some(i))
-                    .then(|| Edge::new(i, j))
+                let j = Self::partner(graph, states, i)?;
+                (i < j).then(|| Edge::new(i, j))
             })
             .collect()
     }
 
     /// Nodes that are matched in the given state.
     pub fn matched_nodes(graph: &Graph, states: &[Pointer]) -> Vec<bool> {
-        let mut m = vec![false; graph.n()];
-        for e in Self::matched_edges(graph, states) {
-            m[e.a.index()] = true;
-            m[e.b.index()] = true;
-        }
-        m
+        graph
+            .nodes()
+            .map(|v| Self::partner(graph, states, v).is_some())
+            .collect()
     }
 }
 
@@ -465,8 +472,90 @@ mod tests {
         })
     }
 
+    /// A path, cycle (from 3 nodes), star or G(n, 1/4) on up to 40 nodes
+    /// with an arbitrary pointer per node: null, a neighbor, a mutual
+    /// pointer with a neighbor, any node (non-neighbors and itself), or an
+    /// index past the end. Some edges are then removed, leaving pointers
+    /// along them dangling.
+    fn arb_partner_case() -> impl Strategy<Value = (Graph, Vec<Pointer>)> {
+        (0u8..4, 1usize..=40).prop_flat_map(|(family, n)| {
+            (
+                Just((family, n)),
+                collection::vec(0u8..4, n * (n - 1) / 2),
+                collection::vec((0u8..6, any::<u32>()), n),
+                collection::vec(any::<u32>(), 0..=n),
+            )
+                .prop_map(|((family, n), bits, pointers, cuts)| {
+                    let mut g = match family {
+                        0 => generators::path(n),
+                        1 if n >= 3 => generators::cycle(n),
+                        2 => generators::star(n),
+                        _ => {
+                            let pairs = (0..n).flat_map(|a| (a + 1..n).map(move |b| (a, b)));
+                            let edges = pairs.zip(bits).filter(|&(_, x)| x == 0).map(|(e, _)| e);
+                            Graph::from_edges(n, edges)
+                        }
+                    };
+                    let mut states = vec![Pointer::NULL; n];
+                    for (v, (kind, t)) in g.nodes().zip(pointers) {
+                        let nbrs = g.neighbors(v);
+                        let target = match kind {
+                            1 | 2 if !nbrs.is_empty() => Some(nbrs[t as usize % nbrs.len()]),
+                            3 => Some(Node(t % n as u32)),
+                            4 if t % 2 == 0 => Some(Node(n as u32 + t / 2 % 4)),
+                            4 => Some(Node(u32::MAX)),
+                            _ => None,
+                        };
+                        states[v.index()] = Pointer(target);
+                        if let (2, Some(w)) = (kind, target) {
+                            states[w.index()] = Pointer(Some(v));
+                        }
+                    }
+                    for cut in cuts {
+                        let edges: Vec<Edge> = g.edges().collect();
+                        if let Some(e) = edges.get(cut as usize % edges.len().max(1)) {
+                            g.remove_edge(e.a, e.b);
+                        }
+                    }
+                    (g, states)
+                })
+        })
+    }
+
+    /// The partner by brute force over the edge list: the `w` with
+    /// `{v, w}` an edge, `p(v) = w` and `p(w) = v`.
+    fn reference_partner(edges: &[Edge], states: &[Pointer], v: Node) -> Option<Node> {
+        edges
+            .iter()
+            .filter(|e| e.a == v || e.b == v)
+            .map(|e| e.other(v))
+            .find(|&w| states[v.index()].0 == Some(w) && states[w.index()].0 == Some(v))
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `partner` is the brute-force mutual-pointer test for every node,
+        /// and `matched_edges` and `matched_nodes` are read off it.
+        #[test]
+        fn partner_matches_the_edge_list_reference((g, states) in arb_partner_case()) {
+            let edges: Vec<Edge> = g.edges().collect();
+            let reference: Vec<Option<Node>> = g
+                .nodes()
+                .map(|v| reference_partner(&edges, &states, v))
+                .collect();
+            for v in g.nodes() {
+                prop_assert_eq!(Smm::partner(&g, &states, v), reference[v.index()], "node {:?}", v);
+            }
+            let matched: Vec<Edge> = edges
+                .iter()
+                .copied()
+                .filter(|e| reference[e.a.index()] == Some(e.b))
+                .collect();
+            prop_assert_eq!(Smm::matched_edges(&g, &states), matched);
+            let nodes: Vec<bool> = reference.iter().map(Option::is_some).collect();
+            prop_assert_eq!(Smm::matched_nodes(&g, &states), nodes);
+        }
 
         /// The one-pass guard returns exactly the reference's move, for
         /// every node and every pair of accept and propose policies.

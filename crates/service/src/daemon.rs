@@ -120,6 +120,11 @@ impl ServeHooks<'_> {
 /// first (read-your-writes). On any exit path the queue is drained and
 /// leftover repair work is settled, so the post-serve service state is
 /// legitimate and safe to snapshot.
+///
+/// `idle_sleep_micros` is an extra sleep after each [`Polled::Idle`], on
+/// top of the wait inside [`Transport::poll`]. The CLI passes 0; the
+/// parameter is kept only for the benchmark's load-generator stall test
+/// (`benchmark/src/loadgen.rs`).
 pub fn serve<P, T, O>(
     svc: &mut OverlayService<'_, P>,
     transport: &mut T,
@@ -147,7 +152,8 @@ where
 /// [`serve`] with live hooks: telemetry gauges refresh and the snapshot
 /// scheduler ticks once per loop iteration, every request is attributed
 /// to its client in the registry, and the `telemetry` query answers from
-/// the same registry a TCP scrape reads.
+/// the same registry a TCP scrape reads. `idle_sleep_micros` is as for
+/// [`serve`]: an extra sleep after [`Polled::Idle`], 0 from the CLI.
 pub fn serve_with<P, T, O>(
     svc: &mut OverlayService<'_, P>,
     transport: &mut T,

@@ -38,15 +38,11 @@ impl OverlayProtocol for Smm {
     }
 
     fn membership(&self, graph: &Graph, states: &[Pointer], v: Node) -> Json {
-        let matched = Smm::matched_nodes(graph, states);
-        let partner = match states[v.index()].0 {
-            Some(p) if matched[v.index()] => Some(p.index()),
-            _ => None,
-        };
+        let partner = Smm::partner(graph, states, v);
         Json::obj([
             ("node", v.index().to_json()),
-            ("matched", matched[v.index()].to_json()),
-            ("partner", partner.to_json()),
+            ("matched", partner.is_some().to_json()),
+            ("partner", partner.map(Node::index).to_json()),
         ])
     }
 
@@ -107,8 +103,80 @@ impl OverlayProtocol for Smi {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use selfstab_engine::{InitialState, SyncExecutor};
     use selfstab_graph::{generators, Ids};
+
+    /// The SMM point reply as first written: the whole matching's
+    /// `matched_nodes`, then `v`'s own pointer as the partner.
+    fn reference_membership(graph: &Graph, states: &[Pointer], v: Node) -> Json {
+        let matched = Smm::matched_nodes(graph, states);
+        let partner = match states[v.index()].0 {
+            Some(p) if matched[v.index()] => Some(p.index()),
+            _ => None,
+        };
+        Json::obj([
+            ("node", v.index().to_json()),
+            ("matched", matched[v.index()].to_json()),
+            ("partner", partner.to_json()),
+        ])
+    }
+
+    /// A G(n, 1/2) on up to 24 nodes with an arbitrary pointer per node
+    /// (null, a neighbor, a mutual pointer with a neighbor, any node, or an
+    /// index past the end), after which some edges go down.
+    fn arb_pointer_case() -> impl Strategy<Value = (Graph, Vec<Pointer>)> {
+        (1usize..=24).prop_flat_map(|n| {
+            (
+                collection::vec(any::<bool>(), n * (n - 1) / 2),
+                collection::vec((0u8..5, any::<u32>()), n),
+                collection::vec(any::<u32>(), 0..=n),
+            )
+                .prop_map(move |(bits, pointers, cuts)| {
+                    let pairs = (0..n).flat_map(|a| (a + 1..n).map(move |b| (a, b)));
+                    let edges = pairs.zip(bits).filter(|&(_, on)| on).map(|(e, _)| e);
+                    let mut g = Graph::from_edges(n, edges);
+                    let mut states = vec![Pointer::NULL; n];
+                    for (v, (kind, t)) in g.nodes().zip(pointers) {
+                        let nbrs = g.neighbors(v);
+                        let target = match kind {
+                            1 | 2 if !nbrs.is_empty() => Some(nbrs[t as usize % nbrs.len()]),
+                            3 => Some(Node(t % n as u32)),
+                            4 => Some(Node(n as u32 + t % 4)),
+                            _ => None,
+                        };
+                        states[v.index()] = Pointer(target);
+                        if let (2, Some(w)) = (kind, target) {
+                            states[w.index()] = Pointer(Some(v));
+                        }
+                    }
+                    for cut in cuts {
+                        let edges: Vec<_> = g.edges().collect();
+                        if let Some(e) = edges.get(cut as usize % edges.len().max(1)) {
+                            g.remove_edge(e.a, e.b);
+                        }
+                    }
+                    (g, states)
+                })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every SMM point reply is byte-identical to the reply the
+        /// whole-matching formula renders.
+        #[test]
+        fn smm_membership_renders_as_the_whole_matching_reply((g, states) in arb_pointer_case()) {
+            let smm = Smm::paper(Ids::identity(g.n()));
+            for v in g.nodes() {
+                prop_assert_eq!(
+                    smm.membership(&g, &states, v).to_string(),
+                    reference_membership(&g, &states, v).to_string()
+                );
+            }
+        }
+    }
 
     #[test]
     fn smm_membership_reports_mutual_partners() {

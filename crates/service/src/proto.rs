@@ -284,6 +284,161 @@ pub fn resp_err(msg: &str, tag: Option<&str>) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The request keys.
+    const KEYS: [&str; 9] = ["op", "kind", "what", "a", "b", "v", "node", "attach", "tag"];
+
+    /// A value `key` gives meaning to: one of its words (or a word it does
+    /// not know), a small node index, or a list of them.
+    fn meaningful(key: &str, x: u64) -> Json {
+        let words: &[&str] = match key {
+            "op" => &["mutate", "query", "shutdown", "warp"],
+            "kind" => &["edge-up", "edge-down", "node-leave", "node-join", ""],
+            "what" => &[
+                "membership",
+                "census",
+                "status",
+                "latency",
+                "telemetry",
+                "huh",
+            ],
+            "tag" => &["t1", "q\"uote\\back\nnew é😀", ""],
+            "attach" => {
+                return Json::Array(
+                    (0..x % 4)
+                        .map(|i| Json::U64(x >> (8 * i + 2) & 15))
+                        .collect(),
+                )
+            }
+            _ => return Json::U64(x % 16),
+        };
+        Json::Str(words[x as usize % words.len()].to_string())
+    }
+
+    /// An arbitrary JSON value for `key`, read off `draws` (null once they
+    /// run out) and nested at most `depth` deep. Over half the draws are
+    /// [`meaningful`], so that many objects parse.
+    fn arb_value(key: &str, draws: &mut impl Iterator<Item = (u8, u64)>, depth: u32) -> Json {
+        let Some((kind, x)) = draws.next() else {
+            return Json::Null;
+        };
+        match kind {
+            0 => Json::Null,
+            1 => Json::Bool(x % 2 == 1),
+            2 => Json::U64(x),
+            3 => Json::I64(x as i64),
+            4 => Json::F64((x % 2001) as f64 / 8.0 - 125.0),
+            5 if depth > 0 => Json::Array(
+                (0..x % 4)
+                    .map(|_| arb_value(key, draws, depth - 1))
+                    .collect(),
+            ),
+            6 if depth > 0 => Json::Object(
+                (0..x % 4)
+                    .map(|i| {
+                        let k = KEYS[(x / 4 + i) as usize % KEYS.len()];
+                        (k.to_string(), arb_value(k, draws, depth - 1))
+                    })
+                    .collect(),
+            ),
+            _ => meaningful(key, x),
+        }
+    }
+
+    /// An object holding each request key with probability 3/4, with an
+    /// arbitrary value.
+    fn arb_object() -> impl Strategy<Value = Json> {
+        collection::vec(
+            (0u8..4, collection::vec((0u8..16, any::<u64>()), 1..8)),
+            KEYS.len(),
+        )
+        .prop_map(|fields| {
+            Json::Object(
+                KEYS.iter()
+                    .zip(fields)
+                    .filter(|(_, (skip, _))| *skip != 0)
+                    .map(|(k, (_, draws))| {
+                        let value = arb_value(k, &mut draws.into_iter(), 3);
+                        (k.to_string(), value)
+                    })
+                    .collect(),
+            )
+        })
+    }
+
+    /// Fragments spliced into lines: JSON syntax, numbers at the edges of
+    /// their ranges, and escapes.
+    const PIECES: [&str; 16] = [
+        "{",
+        "}",
+        "[",
+        "]",
+        ":",
+        ",",
+        "\"",
+        "\\",
+        "null",
+        "-",
+        "1.5e3",
+        "18446744073709551616",
+        "-9223372036854775809",
+        "\\u0000",
+        "\\ud800",
+        "\r",
+    ];
+
+    /// An arbitrary line: an object's rendering with up to five splices,
+    /// each replacing up to three characters by a fragment or by any one
+    /// character.
+    fn arb_line() -> impl Strategy<Value = String> {
+        let splices = collection::vec((any::<u32>(), 0usize..PIECES.len() + 1, 0usize..4), 0..6);
+        (arb_object(), splices).prop_map(|(object, splices)| {
+            let mut line = object.to_string();
+            for (at, piece, cut) in splices {
+                let bounds: Vec<usize> = line
+                    .char_indices()
+                    .map(|(i, _)| i)
+                    .chain([line.len()])
+                    .collect();
+                let first = at as usize % bounds.len();
+                let range = bounds[first]..bounds[(first + cut).min(bounds.len() - 1)];
+                let insert = match PIECES.get(piece) {
+                    Some(p) => p.to_string(),
+                    None => char::from_u32(at % 0x11_0000)
+                        .unwrap_or('\u{fffd}')
+                        .to_string(),
+                };
+                line.replace_range(range, &insert);
+            }
+            line
+        })
+    }
+
+    /// A parsed request renders back to a line that parses to it again.
+    fn check_round_trip(line: &str) -> TestCaseResult {
+        if let Ok(request) = Request::parse(line) {
+            let again = request.to_json().to_string();
+            prop_assert_eq!(Request::parse(&again), Ok(request), "{}", line);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Any line gets `Ok` or `Err`, never a panic.
+        #[test]
+        fn arbitrary_lines_parse_or_fail_cleanly(line in arb_line()) {
+            check_round_trip(&line)?;
+        }
+
+        /// So does any object over the request keys, whatever they hold.
+        #[test]
+        fn arbitrary_request_objects_parse_or_fail_cleanly(object in arb_object()) {
+            check_round_trip(&object.to_string())?;
+        }
+    }
 
     #[test]
     fn request_lines_round_trip() {

@@ -63,6 +63,11 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// Parse a snapshot document.
+    ///
+    /// `n` is checked against what the rest of the document can back
+    /// before anything is sized by it: it must fit a node index (`u32`),
+    /// and it may not exceed the number of state bytes, since every state
+    /// a service runs encodes to at least one byte.
     pub fn parse(text: &str) -> Result<Snapshot, String> {
         let v = Json::parse(text.trim()).map_err(|e| e.to_string())?;
         let format = v
@@ -77,7 +82,11 @@ impl Snapshot {
             .and_then(Json::as_str)
             .ok_or("missing `protocol`")?
             .to_string();
-        let n = v.get("n").and_then(Json::as_u64).ok_or("missing `n`")? as usize;
+        let n = v.get("n").and_then(Json::as_u64).ok_or("missing `n`")?;
+        if n > u64::from(u32::MAX) {
+            return Err(format!("`n` = {n} exceeds the node index range (u32)"));
+        }
+        let n = n as usize;
         let clock_rounds = v
             .get("clock_rounds")
             .and_then(Json::as_u64)
@@ -109,6 +118,12 @@ impl Snapshot {
                 .and_then(Json::as_str)
                 .ok_or("missing `states` hex string")?,
         )?;
+        if n > state_bytes.len() {
+            return Err(format!(
+                "`n` = {n} exceeds the {} bytes of `states`",
+                state_bytes.len()
+            ));
+        }
         Ok(Snapshot {
             protocol,
             n,
@@ -325,8 +340,96 @@ fn unhex(text: &str) -> Result<Vec<u8>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use selfstab_core::Pointer;
     use selfstab_graph::generators;
+
+    /// `key`'s value in a written snapshot document.
+    fn field<'a>(doc: &'a mut Json, key: &str) -> &'a mut Json {
+        let Json::Object(fields) = doc else {
+            panic!("a written snapshot is an object");
+        };
+        let (_, value) = fields
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .expect("a written field");
+        value
+    }
+
+    /// A valid SMM snapshot of a graph on up to 12 nodes, then one to three
+    /// edits, each replacing `n` (any `u64`, one past `u32`, or small), an
+    /// edge endpoint, or the `states` hex (the hex of arbitrary bytes, or
+    /// arbitrary characters).
+    fn arb_hostile_snapshot() -> impl Strategy<Value = String> {
+        (1usize..=12).prop_flat_map(|n| {
+            (
+                collection::vec(any::<bool>(), n * (n - 1) / 2),
+                collection::vec(any::<u32>(), n),
+                collection::vec(
+                    (0u8..3, any::<u64>(), collection::vec(any::<u8>(), 0..40)),
+                    1..4,
+                ),
+            )
+                .prop_map(move |(bits, pointers, edits)| {
+                    let pairs = (0..n).flat_map(|a| (a + 1..n).map(move |b| (a, b)));
+                    let edges = pairs.zip(bits).filter(|&(_, on)| on).map(|(e, _)| e);
+                    let g = Graph::from_edges(n, edges);
+                    // Any node, or null one time in n + 1.
+                    let states: Vec<Pointer> = pointers
+                        .iter()
+                        .map(|&t| t % (n as u32 + 1))
+                        .map(|p| Pointer((p < n as u32).then_some(Node(p))))
+                        .collect();
+                    let mut doc = Json::parse(&write_snapshot("smm", &g, &states, 0))
+                        .expect("a written snapshot is JSON");
+                    for (target, x, bytes) in edits {
+                        match target {
+                            0 => {
+                                let n = match bytes.len() % 3 {
+                                    0 => x,
+                                    1 => x % (u64::from(u32::MAX) + 2),
+                                    _ => x % 64,
+                                };
+                                *field(&mut doc, "n") = n.to_json();
+                            }
+                            1 => {
+                                if let Json::Array(list) = field(&mut doc, "edges") {
+                                    let i = x as usize % list.len().max(1);
+                                    if let Some(Json::Array(pair)) = list.get_mut(i) {
+                                        let end = if bytes.len() % 2 == 0 { x } else { x % 16 };
+                                        pair[bytes.len() / 2 % 2] = end.to_json();
+                                    }
+                                }
+                            }
+                            _ => {
+                                let states = if x % 2 == 0 {
+                                    hex(&bytes)
+                                } else {
+                                    bytes.iter().map(|&b| char::from(b)).collect()
+                                };
+                                *field(&mut doc, "states") = states.to_json();
+                            }
+                        }
+                    }
+                    doc.to_string()
+                })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// A hostile document is rejected, or goes through the graph
+        /// rebuild and both state decodings without a panic.
+        #[test]
+        fn hostile_snapshots_are_rejected_or_load_cleanly(doc in arb_hostile_snapshot()) {
+            if let Ok(snap) = Snapshot::parse(&doc) {
+                prop_assert_eq!(snap.graph().n(), snap.n);
+                let _ = snap.decode_states::<Pointer>();
+                let _ = snap.decode_states::<bool>();
+            }
+        }
+    }
 
     #[test]
     fn snapshot_round_trips_graph_and_states() {
@@ -359,14 +462,38 @@ mod tests {
         Snapshot::parse(&doc.replace("selfstab-snapshot/v1", "v0")).unwrap_err();
         Snapshot::parse("{}").unwrap_err();
         Snapshot::parse("not json").unwrap_err();
-        // Truncated state bytes: n bools need n bytes.
+        // Truncated state bytes: n bools need n bytes, and no state takes
+        // fewer than one, so the parse already rejects the document.
         let snap = Snapshot::parse(&doc).unwrap();
         assert_eq!(snap.decode_states::<bool>().unwrap(), states);
         let bad = doc.replace(&hex(&[0u8, 1, 0]), "00");
-        Snapshot::parse(&bad)
-            .unwrap()
-            .decode_states::<bool>()
-            .unwrap_err();
+        Snapshot::parse(&bad).unwrap_err();
+        // Enough bytes for the count, but not a bool each, or one too many.
+        for bytes in [[0u8, 2, 0].as_slice(), &[0, 1, 0, 1]] {
+            let bad = doc.replace(&hex(&[0u8, 1, 0]), &hex(bytes));
+            Snapshot::parse(&bad)
+                .unwrap()
+                .decode_states::<bool>()
+                .unwrap_err();
+        }
+    }
+
+    #[test]
+    fn snapshot_rejects_a_node_count_past_the_index_range() {
+        let doc = write_snapshot("smm", &generators::path(2), &[Pointer::NULL; 2], 0);
+        let bad = doc.replace("\"n\":2", "\"n\":5000000000");
+        let err = Snapshot::parse(&bad).unwrap_err();
+        assert!(err.contains("`n`"), "{err}");
+    }
+
+    #[test]
+    fn snapshot_rejects_a_node_count_the_state_bytes_cannot_back() {
+        // n just under u32::MAX and one state byte: rejected before any
+        // graph or state vector is sized by n.
+        let doc = write_snapshot("smi", &generators::path(1), &[false], 0);
+        let bad = doc.replace("\"n\":1", &format!("\"n\":{}", u32::MAX - 1));
+        let err = Snapshot::parse(&bad).unwrap_err();
+        assert!(err.contains("`n`") && err.contains("`states`"), "{err}");
     }
 
     #[test]

@@ -35,8 +35,11 @@ pub enum Polled {
 
 /// A source of request lines and sink of response lines.
 pub trait Transport {
-    /// Poll for the next request without blocking (beyond a short internal
-    /// timeout for the socket backend).
+    /// Poll for the next request. A backend that can idle blocks for a
+    /// bounded wait before it returns [`Polled::Idle`], so the serve loop
+    /// needs no sleep of its own: the socket backend waits up to 20 ms and
+    /// wakes as soon as a request arrives. The bound brings the loop round
+    /// to check for shutdown and tick its hooks.
     fn poll(&mut self) -> Polled;
 
     /// Send one response line to `client`. Errors are swallowed — a client
