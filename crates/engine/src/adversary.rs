@@ -364,10 +364,10 @@ impl<S: Clone + PartialEq> Perception<S> {
         &self.buf[self.start[pos]..self.start[pos + 1]]
     }
 
-    /// Position of `v` in the tracked set, if tracked.
+    /// The tracked nodes, ascending: row `pos` belongs to `tracked()[pos]`.
     #[inline]
-    pub fn position(&self, v: Node) -> Option<usize> {
-        self.nodes.binary_search(&v).ok()
+    pub fn tracked(&self) -> &[Node] {
+        &self.nodes
     }
 
     /// Whether any perceived state lagged the true one at the last refresh.
@@ -493,7 +493,7 @@ mod tests {
         let newer = vec![4u8, 5, 6];
         per.refresh(&g, &plan, 0, &newer);
         assert!(per.lagging(), "all directions down, everyone stale");
-        let pos = per.position(Node(1)).unwrap();
+        let pos = per.tracked().binary_search(&Node(1)).unwrap();
         assert_eq!(per.row(pos), &[1, 3], "row holds the last heard values");
         // Past the window every direction is up again: rows catch up.
         per.refresh(&g, &plan, 1, &newer);

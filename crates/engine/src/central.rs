@@ -11,8 +11,9 @@
 //! adversarial schedules; complexity is measured in *moves* (rounds are not
 //! meaningful under a central daemon).
 
+use crate::kernel::privileged_moves;
 use crate::obs::{Observer, RoundStats};
-use crate::protocol::{InitialState, Move, Protocol, View};
+use crate::protocol::{InitialState, Protocol};
 use crate::sync::Outcome;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -108,16 +109,6 @@ impl<'a, P: Protocol> CentralExecutor<'a, P> {
         CentralExecutor { graph, proto }
     }
 
-    fn privileged(&self, states: &[P::State]) -> Vec<(Node, Move<P::State>)> {
-        self.graph
-            .nodes()
-            .filter_map(|v| {
-                let view = View::new(v, self.graph.neighbors(v), states);
-                self.proto.step(view).map(|m| (v, m))
-            })
-            .collect()
-    }
-
     /// Run under the central daemon until fixpoint or `max_moves`.
     pub fn run(
         &self,
@@ -146,7 +137,7 @@ impl<'a, P: Protocol> CentralExecutor<'a, P> {
         let mut moves_per_rule = vec![0u64; self.proto.rule_names().len()];
         let mut moves = 0u64;
         loop {
-            let privileged = self.privileged(&states);
+            let privileged = privileged_moves(self.graph, self.proto, &states);
             if privileged.is_empty() {
                 if O::ENABLED {
                     obs.on_finish(&Outcome::Stabilized, &states);

@@ -255,7 +255,7 @@ pub fn run_churned_serial_observed<P: Protocol, O: Observer<P::State>>(
             break Outcome::RoundLimit;
         }
         round += 1;
-        let stats = kernel.apply(round, &graph, &mut states, Vec::new(), obs);
+        let stats = kernel.apply(round, &graph, &mut states, &mut Vec::new(), obs);
         for (total, k) in moves_per_rule.iter_mut().zip(&stats.moves_per_rule) {
             *total += k;
         }

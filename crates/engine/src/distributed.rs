@@ -7,7 +7,8 @@
 //! algorithms target the synchronous model: protocols proved for one daemon
 //! need not converge under another.
 
-use crate::protocol::{InitialState, Move, Protocol, View};
+use crate::kernel::privileged_moves;
+use crate::protocol::{InitialState, Protocol};
 use crate::sync::{Outcome, Run};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -134,14 +135,7 @@ impl<'a, P: Protocol> DistributedExecutor<'a, P> {
         let mut moves_per_rule = vec![0u64; self.proto.rule_names().len()];
         let mut step = 0usize;
         loop {
-            let privileged: Vec<(Node, Move<P::State>)> = self
-                .graph
-                .nodes()
-                .filter_map(|v| {
-                    let view = View::new(v, self.graph.neighbors(v), &states);
-                    self.proto.step(view).map(|m| (v, m))
-                })
-                .collect();
+            let privileged = privileged_moves(self.graph, self.proto, &states);
             if privileged.is_empty() {
                 return Run {
                     final_states: states,

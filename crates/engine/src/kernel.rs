@@ -2,28 +2,31 @@
 //!
 //! Under the synchronous daemon a round is a single step: every node that is
 //! privileged on the previous round's beacons fires at once. [`Kernel`] owns
-//! that step for every in-process round loop — [`crate::sync::SyncExecutor`],
-//! the churned loop in [`crate::chaos`], and the resident service's serial
-//! drain — so guard evaluation, move application and worklist upkeep are
-//! written exactly once:
+//! that step for every round loop — [`crate::sync::SyncExecutor`], the
+//! churned loop in [`crate::chaos`], the resident service's serial drain,
+//! and each worker of the sharded runtime — so guard evaluation, move
+//! application and worklist upkeep are written exactly once:
 //!
 //! 1. [`Kernel::evaluate`] runs the guards over the current worklist (every
-//!    node under [`Schedule::Full`], the paper-literal reference; every node
-//!    on its *perceived* view while an asymmetric-link window is live) and
-//!    buffers the moves;
+//!    node under [`Schedule::Full`], the paper-literal reference; every
+//!    node a [`Perception`] tracks, on its *perceived* view, while an
+//!    asymmetric-link window is live) and buffers the moves;
 //! 2. [`Kernel::apply`] applies them in node order, marks each mover's
 //!    closed neighborhood `N[v]` into the next worklist, applies the
 //!    caller's post-apply rewrites, seals, and swaps the worklists.
 //!
 //! A caller decides only what surrounds the step: what to
 //! [`Kernel::seed`] into the current worklist before evaluation (crash
-//! victims, churned edge endpoints, service mutations), which rewrites to
-//! hand to [`Kernel::apply`] (Byzantine writes), and when to stop.
+//! victims, churned edge endpoints, service mutations, beacons received
+//! from other shards), which rewrites to hand to [`Kernel::apply`]
+//! (Byzantine writes), and when to stop.
 //!
-//! The sharded runtime's worker keeps its own compute phase: it exchanges
-//! beacons between apply and seal and evaluates only the nodes its shard
-//! owns. It is the independent implementation the equivalence suite checks
-//! this kernel against.
+//! A runtime worker drives a [`Kernel::for_shard`]: the same step, with
+//! evaluation restricted to the nodes its shard owns. Everything else a
+//! worker does — the termination vote, the beacon exchange, delta-beacon
+//! suppression, chaos and crash rehydration — is distribution, not the
+//! round. The independent reference the equivalence suite checks every
+//! round loop against is the serial [`Schedule::Full`] sweep.
 
 use std::time::Instant;
 
@@ -34,7 +37,8 @@ use crate::protocol::{Move, Protocol, View};
 use selfstab_graph::{Graph, Node};
 
 /// Every privileged node's move on `states`, in node order: one full sweep
-/// of the guards (the definition of a synchronous round's movers).
+/// of the guards (the definition of a synchronous round's movers, and the
+/// set the central and distributed daemons choose from).
 pub(crate) fn privileged_moves<P: Protocol>(
     graph: &Graph,
     proto: &P,
@@ -68,6 +72,9 @@ fn nanos_since(t0: Instant) -> u64 {
 pub struct Kernel<S> {
     schedule: Schedule,
     rules: usize,
+    /// The nodes this kernel evaluates, when not every node (a runtime
+    /// shard's owned set; see [`Kernel::for_shard`]).
+    owned: Option<ActiveSet>,
     cur: ActiveSet,
     next: ActiveSet,
     moves: Vec<(Node, Move<S>)>,
@@ -87,12 +94,31 @@ impl<S: Clone + PartialEq> Kernel<S> {
         Kernel {
             schedule,
             rules,
+            owned: None,
             cur: ActiveSet::full(n),
             next: ActiveSet::empty(n),
             moves: Vec::new(),
             evaluated: 0,
             guard_nanos: 0,
             pre: PhaseSpans::new(),
+        }
+    }
+
+    /// A kernel that evaluates only `owned` (a runtime shard's nodes): all
+    /// of them under [`Schedule::Full`], `owned ∩ worklist` under
+    /// [`Schedule::Active`]. Moves, rewrites and seeds still mark closed
+    /// neighborhoods over all `n` nodes, so when each shard seeds the
+    /// changes it hears from the others, the owned parts of the per-shard
+    /// worklists split the every-node kernel's worklist, round for round.
+    pub fn for_shard(schedule: Schedule, n: usize, rules: usize, owned: &[Node]) -> Self {
+        let mut set = ActiveSet::empty(n);
+        for &v in owned {
+            set.insert(v);
+        }
+        set.seal();
+        Kernel {
+            owned: Some(set),
+            ..Kernel::new(schedule, n, rules)
         }
     }
 
@@ -126,8 +152,8 @@ impl<S: Clone + PartialEq> Kernel<S> {
     }
 
     /// Evaluate the guards on `states` and buffer the moves; returns the
-    /// number of privileged nodes. With `perceived`, every node is
-    /// evaluated on what it last heard from each neighbor. A round with no
+    /// number of privileged nodes. With `perceived`, every node it tracks
+    /// is evaluated on what it last heard from each neighbor. A round with no
     /// moves consumes the worklist: the next evaluation sees only what is
     /// seeded before it. `timed` (the caller's [`Observer::ENABLED`]) turns
     /// on the guard-evaluation span.
@@ -141,23 +167,38 @@ impl<S: Clone + PartialEq> Kernel<S> {
     ) -> usize {
         let t0 = timed.then(Instant::now);
         self.moves.clear();
-        match (perceived, self.schedule) {
-            (Some(per), _) => {
-                self.moves.extend(graph.nodes().filter_map(|v| {
-                    let pos = per.position(v).expect("perception tracks every node");
-                    let view = View::with_overlay(v, graph.neighbors(v), states, per.row(pos));
-                    proto.step(view).map(|m| (v, m))
-                }));
-                self.evaluated = graph.n();
+        match (perceived, self.schedule, &self.owned) {
+            (Some(per), _, _) => {
+                let tracked = per.tracked();
+                self.moves
+                    .extend(tracked.iter().enumerate().filter_map(|(pos, &v)| {
+                        let view = View::with_overlay(v, graph.neighbors(v), states, per.row(pos));
+                        proto.step(view).map(|m| (v, m))
+                    }));
+                self.evaluated = tracked.len();
             }
-            (None, Schedule::Full) => {
+            (None, Schedule::Full, None) => {
                 guards(graph, proto, states, graph.nodes(), &mut self.moves);
                 self.evaluated = graph.n();
             }
-            (None, Schedule::Active) => {
+            (None, Schedule::Full, Some(owned)) => {
+                let nodes = owned.nodes().iter().copied();
+                guards(graph, proto, states, nodes, &mut self.moves);
+                self.evaluated = owned.len();
+            }
+            (None, Schedule::Active, None) => {
                 let nodes = self.cur.nodes().iter().copied();
                 guards(graph, proto, states, nodes, &mut self.moves);
                 self.evaluated = self.cur.len();
+            }
+            (None, Schedule::Active, Some(owned)) => {
+                let mut evaluated = 0;
+                let nodes = self.cur.nodes().iter().copied();
+                let nodes = nodes
+                    .filter(|&v| owned.contains(v))
+                    .inspect(|_| evaluated += 1);
+                guards(graph, proto, states, nodes, &mut self.moves);
+                self.evaluated = evaluated;
             }
         }
         if self.moves.is_empty() {
@@ -173,9 +214,16 @@ impl<S: Clone + PartialEq> Kernel<S> {
         self.moves.len()
     }
 
+    /// The moves the last [`Kernel::evaluate`] buffered, in node order;
+    /// [`Kernel::apply`] consumes them.
+    pub fn pending(&self) -> &[(Node, Move<S>)] {
+        &self.moves
+    }
+
     /// Apply the buffered moves as round `round` (1-based), in node order,
     /// then `rewrites` (post-apply state overrides; one that leaves the
-    /// node's state unchanged is skipped and marks nothing), then seal and
+    /// node's state unchanged is skipped, marks nothing and is removed from
+    /// `rewrites`, which keeps only the rewrites applied), then seal and
     /// swap the worklists. Fires `on_round_start` and `on_move`; the caller
     /// fires `on_round_end` with the returned stats, which carry the
     /// serial lane's phase spans when `O` is enabled.
@@ -184,7 +232,7 @@ impl<S: Clone + PartialEq> Kernel<S> {
         round: usize,
         graph: &Graph,
         states: &mut [S],
-        rewrites: Vec<(Node, S)>,
+        rewrites: &mut Vec<(Node, S)>,
         obs: &mut O,
     ) -> RoundStats {
         let timer = O::ENABLED.then(Instant::now);
@@ -219,18 +267,18 @@ impl<S: Clone + PartialEq> Kernel<S> {
             move_hook_nanos = nanos_since(t0);
         }
         self.moves.clear();
-        for (v, s) in rewrites {
-            // Nothing changed, so nobody's view did either. (The runtime's
-            // delta beacons suppress such a rewrite; skipping it here keeps
-            // the two executors' worklists identical.)
-            if states[v.index()] == s {
-                continue;
+        rewrites.retain(|(v, s)| {
+            // Nothing changed, so nobody's view did either, and no beacon
+            // needs to carry it.
+            if states[v.index()] == *s {
+                return false;
             }
-            states[v.index()] = s;
+            states[v.index()] = s.clone();
             if active {
-                self.next.insert_closed(graph, v);
+                self.next.insert_closed(graph, *v);
             }
-        }
+            true
+        });
         if active {
             self.next.seal();
             self.cur.clear();
@@ -293,11 +341,11 @@ mod tests {
         k: &mut Kernel<u8>,
         g: &Graph,
         states: &mut [u8],
-        rewrites: Vec<(Node, u8)>,
+        mut rewrites: Vec<(Node, u8)>,
     ) -> (RoundStats, Vec<Node>) {
         k.evaluate(g, &MaxProto, states, None, false);
         let movers: Vec<Node> = k.moves.iter().map(|&(v, _)| v).collect();
-        (k.apply(1, g, states, rewrites, &mut ()), movers)
+        (k.apply(1, g, states, &mut rewrites, &mut ()), movers)
     }
 
     #[test]
@@ -338,7 +386,7 @@ mod tests {
         k.seed(&g, [Node(3)]);
         assert_eq!(k.worklist().nodes(), &[Node(2), Node(3)]);
         assert_eq!(k.evaluate(&g, &MaxProto, &states, None, false), 1);
-        let stats = k.apply(1, &g, &mut states, Vec::new(), &mut ());
+        let stats = k.apply(1, &g, &mut states, &mut Vec::new(), &mut ());
         assert_eq!((stats.evaluated, stats.privileged), (2, 1));
         assert_eq!(states, vec![0, 0, 2, 2]);
     }
@@ -366,6 +414,113 @@ mod tests {
     }
 
     #[test]
+    fn shard_kernels_split_the_serial_worklist_by_owner() {
+        use crate::adversary::AsymPlan;
+        // Three interleaved shards put an owner boundary on most edges. Node
+        // 7 is rewritten every round to a value cycling through 0..4 (a
+        // no-op when it already holds it), which keeps a frontier moving.
+        let g = generators::grid(5, 4);
+        let n = g.n();
+        let all: Vec<Node> = g.nodes().collect();
+        let owner = |v: Node| v.index() % 3;
+        let owned: Vec<Vec<Node>> = (0..3)
+            .map(|s| g.nodes().filter(|&v| owner(v) == s).collect())
+            .collect();
+        let init: Vec<u8> = (0..n).map(|i| [0, 1, 0, 0, 2, 0, 0][i % 7]).collect();
+        let asym = AsymPlan::new(0.4, 5).with_until(2);
+        for schedule in [Schedule::Full, Schedule::Active] {
+            for perceive in [false, true] {
+                let mut serial = Kernel::new(schedule, n, 1);
+                let mut shards: Vec<Kernel<u8>> = owned
+                    .iter()
+                    .map(|own| Kernel::for_shard(schedule, n, 1, own))
+                    .collect();
+                let mut states = init.clone();
+                let mut local = vec![init.clone(); 3];
+                let mut serial_per = Perception::new(&g, &all, &states);
+                let mut shard_per: Vec<Perception<u8>> = owned
+                    .iter()
+                    .map(|own| Perception::new(&g, own, &states))
+                    .collect();
+                for round in 0..8 {
+                    let live = perceive && asym.hot(round);
+                    if live {
+                        serial_per.refresh(&g, &asym, round, &states);
+                        for per in &mut shard_per {
+                            per.refresh(&g, &asym, round, &states);
+                        }
+                    } else if perceive && asym.sweep(round) {
+                        serial.seed(&g, all.iter().copied());
+                        for (k, own) in shards.iter_mut().zip(&owned) {
+                            k.seed(&g, own.iter().copied());
+                        }
+                    }
+                    let worklist = serial.worklist().nodes().to_vec();
+                    serial.evaluate(&g, &MaxProto, &states, live.then_some(&serial_per), false);
+                    let mut pending = Vec::new();
+                    let mut evaluated = 0;
+                    for (s, k) in shards.iter_mut().enumerate() {
+                        k.evaluate(
+                            &g,
+                            &MaxProto,
+                            &local[s],
+                            live.then_some(&shard_per[s]),
+                            false,
+                        );
+                        let mine = worklist.iter().filter(|&&v| owner(v) == s).count();
+                        if schedule == Schedule::Active && !live {
+                            assert_eq!(k.evaluated, mine, "round {round} shard {s}");
+                        } else {
+                            assert_eq!(k.evaluated, owned[s].len(), "round {round} shard {s}");
+                        }
+                        evaluated += k.evaluated;
+                        pending.extend_from_slice(k.pending());
+                    }
+                    pending.sort_by_key(|&(v, _)| v);
+                    assert_eq!(evaluated, serial.evaluated, "round {round}");
+                    assert_eq!(pending, serial.pending(), "round {round}");
+
+                    let rewrite = (Node(7), (round % 4) as u8);
+                    let mut rewrites = vec![rewrite];
+                    serial.apply(round + 1, &g, &mut states, &mut rewrites, &mut ());
+                    for (s, k) in shards.iter_mut().enumerate() {
+                        let mut mine = vec![rewrite];
+                        mine.retain(|&(v, _)| owner(v) == s);
+                        k.apply(round + 1, &g, &mut local[s], &mut mine, &mut ());
+                        if owner(rewrite.0) == s {
+                            assert_eq!(mine, rewrites, "only applied rewrites are kept");
+                        }
+                    }
+                    // Owners hold the serial states; every other shard hears
+                    // each change as a beacon and seeds it.
+                    for v in g.nodes() {
+                        assert_eq!(local[owner(v)][v.index()], states[v.index()]);
+                    }
+                    for (s, k) in shards.iter_mut().enumerate() {
+                        let heard: Vec<Node> = g
+                            .nodes()
+                            .filter(|&v| local[s][v.index()] != states[v.index()])
+                            .collect();
+                        local[s].clone_from(&states);
+                        k.seed(&g, heard);
+                        if schedule == Schedule::Active {
+                            let mine = |w: &ActiveSet| {
+                                let nodes = w.nodes().iter().copied();
+                                nodes.filter(|&v| owner(v) == s).collect::<Vec<_>>()
+                            };
+                            assert_eq!(
+                                mine(k.worklist()),
+                                mine(serial.worklist()),
+                                "round {round}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn observed_apply_reports_one_serial_lane() {
         let g = generators::path(4);
         let mut k = Kernel::new(Schedule::Active, 4, 1);
@@ -373,7 +528,7 @@ mod tests {
         k.evaluate(&g, &MaxProto, &states, None, true);
         k.record(Phase::Rehydrate, 5_000);
         let mut m = crate::obs::MetricsCollector::new();
-        let stats = k.apply(1, &g, &mut states, Vec::new(), &mut m);
+        let stats = k.apply(1, &g, &mut states, &mut Vec::new(), &mut m);
         let lanes = &stats
             .profile
             .expect("observed rounds carry a profile")

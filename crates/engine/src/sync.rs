@@ -271,12 +271,12 @@ impl<'a, P: Protocol> SyncExecutor<'a, P> {
             // snapshot (the states every node evaluated on) and applied
             // after the honest moves — "as if the node moved". The sharded
             // runtime does exactly the same, owner-side.
-            let byz_writes = match self.byz.as_ref() {
+            let mut byz_writes = match self.byz.as_ref() {
                 Some(plan) if byz_hot => plan.writes_for(self.proto, graph, round, &states),
                 _ => Vec::new(),
             };
             round += 1;
-            let stats = kernel.apply(round, graph, &mut states, byz_writes, obs);
+            let stats = kernel.apply(round, graph, &mut states, &mut byz_writes, obs);
             for (total, k) in moves_per_rule.iter_mut().zip(&stats.moves_per_rule) {
                 *total += k;
             }

@@ -134,6 +134,7 @@ pub fn to_graph6(g: &Graph) -> String {
 mod tests {
     use super::*;
     use crate::generators;
+    use proptest::prelude::*;
 
     #[test]
     fn known_encodings() {
@@ -184,6 +185,38 @@ mod tests {
         for n in [5usize, 13, 33] {
             let g = generators::erdos_renyi_connected(n, 0.3, &mut rng);
             assert_eq!(parse(&to_graph6(&g)).unwrap(), g);
+        }
+    }
+
+    /// Hostile graph6 lines: one case in four is arbitrary bytes (lossily
+    /// made UTF-8); otherwise bytes around the graph6 range `63..=126`, half
+    /// of them behind a small-`n` header so that some parse.
+    fn hostile_lines() -> impl Strategy<Value = String> {
+        let parts = (0u8..4, 0u8..16, collection::vec(any::<u8>(), 0..48));
+        parts.prop_map(|(mode, n, mut bytes)| {
+            if mode == 0 {
+                return String::from_utf8_lossy(&bytes).into_owned();
+            }
+            for b in &mut bytes {
+                *b = 62 + *b % 66;
+            }
+            if mode >= 2 {
+                bytes.insert(0, 63 + n);
+            }
+            String::from_utf8(bytes).expect("bytes 62..=127 are ASCII")
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Any line parses to `Ok` or `Err`, never a panic, and every
+        /// graph it yields round-trips through `to_graph6`.
+        #[test]
+        fn hostile_lines_parse_or_err_and_parsed_graphs_round_trip(line in hostile_lines()) {
+            if let Ok(g) = parse(&line) {
+                prop_assert_eq!(parse(&to_graph6(&g)), Ok(g));
+            }
         }
     }
 }

@@ -20,17 +20,24 @@
 //! per-node disjoint, so the post-round global state is *identical* to the
 //! serial executor's, round for round, for any shard count.
 //!
+//! **The round itself is the engine's kernel.** Each worker drives a
+//! [`Kernel::for_shard`] over its owned nodes: the kernel evaluates the
+//! guards, applies the moves and Byzantine rewrites, and keeps the
+//! dirty-node worklist (see [`selfstab_engine::active`]) exactly as it does
+//! for the serial executor. The worker adds only what distribution needs:
+//! the termination vote, the beacon exchange, chaos and crash rehydration,
+//! and the observer journal.
+//!
 //! **Active scheduling becomes delta beacons.** Under the default
-//! [`Schedule::Active`] each worker keeps the engine's dirty-node worklist
-//! (see [`selfstab_engine::active`]) restricted to its owned nodes, and the
-//! wire protocol turns the same invariant into bandwidth: a boundary node's
-//! beacon is sent only in rounds where the node *moved*. Ghost entries are
-//! seeded from the shared initial state, so an unsent beacon means — and
-//! only ever means — "unchanged", and each received beacon marks the
-//! sender's closed neighborhood dirty on the receiving side. One batch
-//! message still travels per neighbor-shard pair per round (possibly
-//! empty), so every shard receives the same static `expected_in` batches
-//! per round under either schedule.
+//! [`Schedule::Active`] the wire protocol turns the worklist invariant into
+//! bandwidth: a boundary node's beacon is sent only in rounds where the
+//! node *moved*. Ghost entries are seeded from the shared initial state, so
+//! an unsent beacon means — and only ever means — "unchanged", and each
+//! received beacon is [`Kernel::seed`]ed, marking the sender's closed
+//! neighborhood dirty on the receiving side. One batch message still
+//! travels per neighbor-shard pair per round (possibly empty), so every
+//! shard receives the same static `expected_in` batches per round under
+//! either schedule.
 //!
 //! **The exchange is straight-line.** Beacons bound for the same shard are
 //! batched into one message per round. Each worker encodes and sends every
@@ -66,12 +73,13 @@ use crate::wire::{frame_extent, Beacon};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selfstab_core::partition::Partition;
-use selfstab_engine::active::{ActiveSet, Schedule};
+use selfstab_engine::active::Schedule;
 use selfstab_engine::adversary::{AsymPlan, ByzPlan, Perception};
+use selfstab_engine::kernel::Kernel;
 use selfstab_engine::obs::{
     Observer, Phase, PhaseSpans, RoundProfile, RoundStats, RuntimeCounters, ShardProfile,
 };
-use selfstab_engine::protocol::{InitialState, Protocol, View, WireError, WireState};
+use selfstab_engine::protocol::{InitialState, Protocol, WireError, WireState};
 use selfstab_engine::sync::{Outcome, Run};
 use selfstab_graph::{Graph, Node};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -206,16 +214,9 @@ struct RoundJournal<S> {
     moves: Vec<(Node, usize, S)>,
     moves_per_rule: Vec<u64>,
     evaluated: usize,
-    frames: u64,
-    suppressed: u64,
-    bytes: u64,
-    max_depth: u64,
+    /// This round's exchange counters.
+    xch: ExchangeStats,
     duration_micros: u64,
-    /// Chaos counters for this round's exchange (all zero without a plan).
-    dropped: u64,
-    duped: u64,
-    delayed: u64,
-    corrupted: u64,
     /// Byzantine rewrites this worker's owned nodes took this round,
     /// applied *after* `moves` (replay applies them in the same order).
     byz: Vec<(Node, S)>,
@@ -227,11 +228,6 @@ struct RoundJournal<S> {
     /// Phase spans for this round (compute / encode / send / recv_wait /
     /// barrier_wait / rehydrate).
     spans: PhaseSpans,
-    /// This worker's mailbox high-water mark for the round (consumed and
-    /// reset at the round boundary via `Receiver::take_max_depth`).
-    inbox_max_depth: u64,
-    /// Mailbox depth left after the round's exchange drained (normally 0).
-    inbox_depth: u64,
 }
 
 /// What a worker hands back to the coordinator.
@@ -620,7 +616,8 @@ where
 }
 
 /// The worker loop: evaluate → agree on the global move count → decide →
-/// apply → exchange.
+/// apply → exchange. Evaluation and application are one [`Kernel`] step
+/// over the owned nodes; the rest of the loop is the distribution.
 fn shard_loop<P: Protocol>(
     ctx: ShardCtx<'_, P>,
     mut states: Vec<P::State>,
@@ -643,6 +640,7 @@ where
         fault,
     } = ctx;
     let n = states.len();
+    let rules = proto.rule_names().len();
     // Chaos bookkeeping; ghosts are seeded from the shared initial state,
     // so every modeled ghost starts in sync.
     let mut chaos: Option<ChaosState<P::State>> = fault.map(|_| ChaosState {
@@ -671,21 +669,18 @@ where
     let mut perception: Option<Perception<P::State>> = asym
         .as_ref()
         .map(|_| Perception::new(graph, &plan.owned, &states));
-    let mut owned_mask = vec![false; n];
-    for &v in &plan.owned {
-        owned_mask[v.index()] = true;
-    }
-    // Active-mode worklists (ping-pong pair), plus a per-round moved mask
-    // driving delta-beacon suppression. The sets span all n nodes: marking
-    // a ghost is how a received beacon dirties its owned neighbors, and
-    // evaluation filters through `owned_mask`. Every worker starts from
-    // the full set, so the union of the per-worker worklists equals the
-    // serial worklist in every round.
-    let mut active = (schedule == Schedule::Active)
-        .then(|| (ActiveSet::full(n), ActiveSet::empty(n), vec![false; n]));
-    let mut moved_list: Vec<Node> = Vec::new();
+    // The round step over the owned nodes. Its worklists span all n nodes:
+    // seeding a received beacon's node is how it dirties its owned
+    // neighbors. Every worker starts from the full set, so the owned parts
+    // of the per-worker worklists split the serial worklist in every round.
+    let mut kernel = Kernel::for_shard(schedule, n, rules, &plan.owned);
+    // Under the active schedule, the round's movers as a mask (only their
+    // boundary beacons are sent), and as the list that clears it.
+    let mut moved = (schedule == Schedule::Active).then(|| vec![false; n]);
+    let mut movers: Vec<Node> = Vec::new();
+    let mut arrived: Vec<Node> = Vec::new();
 
-    let mut moves_per_rule = vec![0u64; proto.rule_names().len()];
+    let mut moves_per_rule = vec![0u64; rules];
     let mut journal = Vec::new();
     let mut round = 0usize;
     let abort = |shard| RuntimeError::Aborted { shard };
@@ -723,12 +718,7 @@ where
                         ch.delayed.clear();
                         ch.lagging = true;
                         // Every owned node must re-enter evaluation.
-                        if let Some((cur, _, _)) = active.as_mut() {
-                            for &v in &plan.owned {
-                                cur.insert(v);
-                            }
-                            cur.seal();
-                        }
+                        kernel.seed(graph, plan.owned.iter().copied());
                         rehydrated = true;
                         if journal_enabled {
                             pending_restart = Some(
@@ -763,56 +753,22 @@ where
         let asym_sweep = asym.as_ref().is_some_and(|a| a.sweep(round));
         // Deliver this round's inbound beacons under the asymmetric-link
         // model (after any crash rehydration, mirroring the serial order).
+        // Evaluation then runs on the perceived views (worklist pruning is
+        // unsound while links fail — see `AsymPlan::sweep`).
         let mut asym_down = 0u64;
         if asym_live {
             if let (Some(a), Some(per)) = (asym.as_ref(), perception.as_mut()) {
                 asym_down = per.refresh(graph, a, round, &states);
             }
+        } else if asym_sweep {
+            // Catch-up round after the window closes: true views, but every
+            // owned node — perception may have just caught up, changing
+            // views without any neighbor moving.
+            kernel.seed(graph, plan.owned.iter().copied());
         }
-
-        let mut evaluated = 0usize;
-        let mut moves: Vec<(Node, selfstab_engine::protocol::Move<P::State>)> = Vec::new();
-        span(spans.as_mut(), Phase::Compute, || {
-            if asym_live {
-                // Evaluate every owned node on its *perceived* neighbor
-                // states (worklist pruning is unsound while links fail —
-                // see `AsymPlan::sweep`).
-                let per = perception.as_ref().expect("asym plan implies perception");
-                evaluated = plan.owned.len();
-                for (pos, &v) in plan.owned.iter().enumerate() {
-                    let view = View::with_overlay(v, graph.neighbors(v), &states, per.row(pos));
-                    if let Some(m) = proto.step(view) {
-                        moves.push((v, m));
-                    }
-                }
-                return;
-            }
-            match active.as_ref() {
-                // Catch-up round after the asym window closes: true views,
-                // but a full owned sweep — perception may have just caught
-                // up, changing views without any neighbor moving.
-                Some((cur, _, _)) if !asym_sweep => {
-                    for &v in cur.nodes() {
-                        if !owned_mask[v.index()] {
-                            continue;
-                        }
-                        evaluated += 1;
-                        let view = View::new(v, graph.neighbors(v), &states);
-                        if let Some(m) = proto.step(view) {
-                            moves.push((v, m));
-                        }
-                    }
-                }
-                _ => {
-                    evaluated = plan.owned.len();
-                    for &v in &plan.owned {
-                        let view = View::new(v, graph.neighbors(v), &states);
-                        if let Some(m) = proto.step(view) {
-                            moves.push((v, m));
-                        }
-                    }
-                }
-            }
+        let perceived = perception.as_ref().filter(|_| asym_live);
+        let privileged = span(spans.as_mut(), Phase::Compute, || {
+            kernel.evaluate(graph, proto, &states, perceived, false)
         });
 
         // Under a chaos plan a worker must keep the run alive — even with
@@ -824,7 +780,7 @@ where
         // lagging perception can still surface moves once missed beacons
         // land: both also keep the run alive (the serial executor's
         // `byz_hot` / `asym_keep` terms in its stabilization check).
-        let asym_keep = asym_live && perception.as_ref().is_some_and(|p| p.lagging());
+        let asym_keep = perceived.is_some_and(|p| p.lagging());
         let signal = byz_hot
             || asym_keep
             || match (fault, chaos.as_ref()) {
@@ -834,7 +790,7 @@ where
                 _ => false,
             };
         let slot = &accum[round % 2];
-        slot.fetch_add(moves.len() as u64 + u64::from(signal), Ordering::SeqCst);
+        slot.fetch_add(privileged as u64 + u64::from(signal), Ordering::SeqCst);
         span(spans.as_mut(), Phase::BarrierWait, || barrier.wait()).map_err(|_| abort(shard))?;
         let total = slot.load(Ordering::SeqCst);
         if span(spans.as_mut(), Phase::BarrierWait, || barrier.wait()).map_err(|_| abort(shard))? {
@@ -857,7 +813,7 @@ where
         // the node moved". Keyed on (seed, round, node) only, and a node's
         // neighbors are owned states or ghosts equal to the serial
         // executor's, so every shard count produces the serial writes.
-        let byz_writes: Vec<(Node, P::State)> = if byz_hot {
+        let mut byz_writes: Vec<(Node, P::State)> = if byz_hot {
             let bp = byz.as_ref().expect("byz_hot implies a plan");
             plan.owned
                 .iter()
@@ -868,78 +824,58 @@ where
             Vec::new()
         };
 
-        let mut round_moves = journal_enabled.then(|| vec![0u64; moves_per_rule.len()]);
-        let mut journal_moves = journal_enabled.then(Vec::new);
-        for (v, m) in moves {
-            moves_per_rule[m.rule] += 1;
-            if let Some(rm) = round_moves.as_mut() {
-                rm[m.rule] += 1;
-            }
-            if let Some(jm) = journal_moves.as_mut() {
-                jm.push((v, m.rule, m.next.clone()));
-            }
-            states[v.index()] = m.next;
-            if let Some((_, next, moved)) = active.as_mut() {
-                next.insert_closed(graph, v);
+        // The movers drive the journal and delta-beacon suppression; read
+        // them before `apply` consumes the buffer.
+        let journal_moves: Option<Vec<_>> = journal_enabled.then(|| {
+            let pending = kernel.pending().iter();
+            pending.map(|(v, m)| (*v, m.rule, m.next.clone())).collect()
+        });
+        if let Some(moved) = moved.as_mut() {
+            for &(v, _) in kernel.pending() {
                 moved[v.index()] = true;
-                moved_list.push(v);
+                movers.push(v);
             }
         }
-        // A rewrite matching the node's current state is a no-op on both
-        // executors (the serial one skips it too, keeping the worklists
-        // identical); only state-changing rewrites apply and journal.
-        let mut byz_applied: Vec<(Node, P::State)> = Vec::new();
-        for (b, s) in byz_writes {
-            if states[b.index()] == s {
-                continue;
-            }
-            // The rewrite changes b's guards and its neighbors': the whole
-            // closed neighborhood re-enters evaluation. Receivers dirty on
-            // beacon arrival, so invalidate b's acked entries to force the
-            // beacon out — the value alone can't drive the send, because a
-            // rewrite may land back on the value the receivers' ghosts
-            // already hold (honest move reverted within the same round).
-            states[b.index()] = s.clone();
-            if let Some((_, next, _)) = active.as_mut() {
-                next.insert_closed(graph, b);
-            }
-            if let Some(ch) = chaos.as_mut() {
+        round += 1;
+        // The kernel skips (and drops from `byz_writes`) a rewrite matching
+        // the node's current state, as the serial executor does.
+        let stats = kernel.apply(round, graph, &mut states, &mut byz_writes, &mut ());
+        for (total, k) in moves_per_rule.iter_mut().zip(&stats.moves_per_rule) {
+            *total += k;
+        }
+        if let Some(ch) = chaos.as_mut() {
+            // Receivers dirty on beacon arrival, so invalidate a rewritten
+            // node's acked entries to force its beacon out — the value
+            // alone can't drive the send, because a rewrite may land back
+            // on the value the receivers' ghosts already hold (honest move
+            // reverted within the same round).
+            for (b, _) in &byz_writes {
                 for (si, (_, nodes)) in plan.sends.iter().enumerate() {
-                    if let Ok(j) = nodes.binary_search(&b) {
+                    if let Ok(j) = nodes.binary_search(b) {
                         ch.acked[si][j] = None;
                     }
                 }
             }
-            if journal_enabled {
-                byz_applied.push((b, s));
-            }
         }
-        round += 1;
 
-        let (moved_mask, next_active) = match active.as_mut() {
-            Some((_, next, moved)) => (Some(&moved[..]), Some(next)),
-            None => (None, None),
-        };
         let xch = exchange::<P>(
             shard,
-            graph,
             round,
             &plan,
             senders,
             &mailbox,
             &mut states,
-            moved_mask,
-            next_active,
+            moved.as_deref(),
+            &mut arrived,
             fault,
             chaos.as_mut(),
             spans.as_mut(),
         )?;
-
-        if let Some((cur, next, moved)) = active.as_mut() {
-            next.seal();
-            cur.clear();
-            std::mem::swap(cur, next);
-            for v in moved_list.drain(..) {
+        // A received beacon means its sender changed this round: its
+        // closed neighborhood (our side of it) is dirty for the next.
+        kernel.seed(graph, arrived.drain(..));
+        if let Some(moved) = moved.as_mut() {
+            for v in movers.drain(..) {
                 moved[v.index()] = false;
             }
         }
@@ -947,23 +883,14 @@ where
         if journal_enabled {
             journal.push(RoundJournal {
                 moves: journal_moves.unwrap_or_default(),
-                moves_per_rule: round_moves.unwrap_or_default(),
-                evaluated,
-                frames: xch.frames,
-                suppressed: xch.suppressed,
-                bytes: xch.bytes,
-                max_depth: xch.max_depth,
+                moves_per_rule: stats.moves_per_rule,
+                evaluated: stats.evaluated,
+                xch,
                 duration_micros: timer.map(|t| t.elapsed().as_micros() as u64).unwrap_or(0),
-                dropped: xch.dropped,
-                duped: xch.duped,
-                delayed: xch.delayed,
-                corrupted: xch.corrupted,
-                byz: byz_applied,
+                byz: byz_writes,
                 asym_down,
                 restart: pending_restart,
                 spans: spans.unwrap_or_default(),
-                inbox_max_depth: xch.inbox_max_depth,
-                inbox_depth: xch.inbox_depth,
             });
         }
     };
@@ -982,17 +909,22 @@ where
     })
 }
 
+/// One worker's counters for one round's exchange.
 #[derive(Default)]
 struct ExchangeStats {
     frames: u64,
     suppressed: u64,
     bytes: u64,
     max_depth: u64,
+    /// Chaos counters (all zero without a plan).
     dropped: u64,
     duped: u64,
     delayed: u64,
     corrupted: u64,
+    /// This worker's mailbox high-water mark for the round (consumed and
+    /// reset at the round boundary via `Receiver::take_max_depth`).
     inbox_max_depth: u64,
+    /// Mailbox depth left after the round's exchange drained (normally 0).
     inbox_depth: u64,
 }
 
@@ -1016,19 +948,18 @@ fn span<T>(spans: Option<&mut PhaseSpans>, phase: Phase, f: impl FnOnce() -> T) 
 /// encode and send every batch of `plan.sends` in order, then block on the
 /// mailbox for exactly `plan.expected_in` batches. When `moved` is given
 /// (active schedule), unmoved boundary nodes are suppressed from the batch
-/// — an empty batch still travels, so `expected_in` stays static — and
-/// every received beacon dirties its closed neighborhood in `next_active`.
+/// — an empty batch still travels, so `expected_in` stays static. Every
+/// received beacon's node is pushed onto `arrived`.
 #[allow(clippy::too_many_arguments)]
 fn exchange<P: Protocol>(
     shard: usize,
-    graph: &Graph,
     round: usize,
     plan: &ShardPlan,
     senders: &[Sender<Vec<u8>>],
     mailbox: &Receiver<Vec<u8>>,
     states: &mut [P::State],
     moved: Option<&[bool]>,
-    mut next_active: Option<&mut ActiveSet>,
+    arrived: &mut Vec<Node>,
     fault: Option<&FaultPlan>,
     mut chaos: Option<&mut ChaosState<P::State>>,
     mut prof: Option<&mut PhaseSpans>,
@@ -1196,11 +1127,7 @@ where
                 });
             }
             states[beacon.node.index()] = beacon.state;
-            if let Some(next_active) = next_active.as_deref_mut() {
-                // Receipt == the sender moved this round: its closed
-                // neighborhood (our side of it) is dirty for the next.
-                next_active.insert_closed(graph, beacon.node);
-            }
+            arrived.push(beacon.node);
             rest = &rest[used..];
         }
     }
@@ -1300,14 +1227,14 @@ fn replay_journals<S: Clone + PartialEq + std::fmt::Debug, O: Observer<S>>(
             }
             evaluated += j.evaluated;
             runtime.shard_moves[out.shard] = j.moves_per_rule.iter().sum();
-            runtime.frames += j.frames;
-            runtime.frames_suppressed += j.suppressed;
-            runtime.bytes_on_wire += j.bytes;
-            runtime.max_channel_depth = runtime.max_channel_depth.max(j.max_depth);
-            runtime.frames_dropped += j.dropped;
-            runtime.frames_duped += j.duped;
-            runtime.frames_delayed += j.delayed;
-            runtime.frames_corrupted += j.corrupted;
+            runtime.frames += j.xch.frames;
+            runtime.frames_suppressed += j.xch.suppressed;
+            runtime.bytes_on_wire += j.xch.bytes;
+            runtime.max_channel_depth = runtime.max_channel_depth.max(j.xch.max_depth);
+            runtime.frames_dropped += j.xch.dropped;
+            runtime.frames_duped += j.xch.duped;
+            runtime.frames_delayed += j.xch.delayed;
+            runtime.frames_corrupted += j.xch.corrupted;
             runtime.restarts += u64::from(j.restart.is_some());
             runtime.byz_rewrites += j.byz.len() as u64;
             runtime.asym_links_down += j.asym_down;
@@ -1316,8 +1243,8 @@ fn replay_journals<S: Clone + PartialEq + std::fmt::Debug, O: Observer<S>>(
                 shard: out.shard,
                 spans: j.spans.clone(),
                 round_micros: j.duration_micros,
-                inbox_max_depth: j.inbox_max_depth,
-                inbox_depth: j.inbox_depth,
+                inbox_max_depth: j.xch.inbox_max_depth,
+                inbox_depth: j.xch.inbox_depth,
             });
         }
         profile.shards.sort_by_key(|s| s.shard);

@@ -126,6 +126,7 @@ pub fn frame_extent(bytes: &[u8]) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use selfstab_core::smm::Pointer;
 
     #[test]
@@ -347,5 +348,102 @@ mod tests {
             Err(WireError::PayloadTooLarge(70_000))
         );
         assert_eq!(batch, before, "failed append leaves the batch intact");
+    }
+
+    /// Bytes near a frame: one case in four is pure noise; otherwise a
+    /// header (version byte usually right, small declared length) and a
+    /// payload whose first byte is a valid or near-valid option tag, which
+    /// may be shorter or longer than declared.
+    fn near_frames() -> impl Strategy<Value = Vec<u8>> {
+        let parts = (
+            0u8..4,
+            any::<u64>(),
+            0u16..8,
+            collection::vec(any::<u8>(), 0..24),
+        );
+        parts.prop_map(|(mode, head, len, mut tail)| {
+            if mode == 0 {
+                return tail;
+            }
+            let version = if mode == 1 { head as u8 } else { WIRE_VERSION };
+            let mut bytes = vec![version];
+            bytes.extend_from_slice(&head.to_le_bytes());
+            bytes.extend_from_slice(&len.to_le_bytes());
+            if let Some(tag) = tail.first_mut() {
+                *tag %= 3;
+            }
+            bytes.extend_from_slice(&tail);
+            bytes
+        })
+    }
+
+    /// Every decoder outcome on `bytes` for one state type: an error or a
+    /// frame whose extent agrees with [`frame_extent`], never a panic.
+    fn decodes_agree<S: WireState>(bytes: &[u8]) -> Result<(), TestCaseError> {
+        let extent = frame_extent(bytes);
+        if let Ok((_, used)) = Beacon::<S>::decode_prefix(bytes) {
+            prop_assert_eq!(Some(used), extent);
+        }
+        if Beacon::<S>::decode(bytes).is_ok() {
+            prop_assert_eq!(extent, Some(bytes.len()));
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Hostile bytes give `Err` or `None`, never a panic, and every
+        /// successful decode consumed exactly the frame's extent.
+        #[test]
+        fn hostile_bytes_decode_to_errors_or_agree_with_the_extent(bytes in near_frames()) {
+            if let Some(extent) = frame_extent(&bytes) {
+                prop_assert!((HEADER_LEN..=bytes.len()).contains(&extent));
+            }
+            decodes_agree::<Pointer>(&bytes)?;
+            decodes_agree::<bool>(&bytes)?;
+        }
+
+        /// The exchange's skip rule under a fault plan — decode a frame, or
+        /// step over its extent when it fails — yields exactly the frames
+        /// whose version byte was left alone.
+        #[test]
+        fn skip_rule_keeps_exactly_the_intact_frames(
+            frames in collection::vec((any::<u32>(), any::<u32>(), 0u8..3, any::<u8>()), 0..12),
+        ) {
+            let mut batch = Vec::new();
+            let mut intact = Vec::new();
+            for (node, pointee, kind, flip) in frames {
+                let beacon = Beacon {
+                    round: 5,
+                    node: Node(node),
+                    state: if kind == 0 { Pointer::NULL } else { Pointer(Some(Node(pointee))) },
+                };
+                let start = batch.len();
+                beacon.encode_into(&mut batch).unwrap();
+                // A quarter of the frames get a nonzero mask on the version.
+                if flip % 4 == 0 {
+                    batch[start] ^= flip | 1;
+                } else {
+                    intact.push(beacon);
+                }
+            }
+            let mut rest = &batch[..];
+            let mut kept = Vec::new();
+            while !rest.is_empty() {
+                match Beacon::<Pointer>::decode_prefix(rest) {
+                    Ok((beacon, used)) => {
+                        kept.push(beacon);
+                        rest = &rest[used..];
+                    }
+                    Err(_) => {
+                        let extent = frame_extent(rest);
+                        prop_assert!(extent.is_some(), "a flipped frame keeps its extent");
+                        rest = &rest[extent.unwrap_or(rest.len())..];
+                    }
+                }
+            }
+            prop_assert_eq!(kept, intact);
+        }
     }
 }

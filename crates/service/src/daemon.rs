@@ -77,21 +77,15 @@ pub struct ServeHooks<'h> {
 }
 
 impl ServeHooks<'_> {
-    fn active(&self) -> bool {
-        self.telemetry.is_some() || self.snapshots.is_some()
-    }
-
-    /// Refresh gauges and tick the snapshot scheduler. Runs once per loop
-    /// iteration, and only when some hook is configured.
+    /// Refresh the accept-failure count (one relaxed atomic load, no
+    /// clock read) and, when some hook is configured, the gauges and the
+    /// snapshot scheduler. Runs once per loop iteration.
     fn tick<P: OverlayProtocol, T: Transport>(
         &mut self,
         svc: &mut OverlayService<'_, P>,
         transport: &T,
         clock: &dyn Clock,
     ) {
-        if !self.active() {
-            return;
-        }
         let accept_failures = transport.accept_failures();
         svc.note_accept_failures(accept_failures);
         if let Some(t) = &self.telemetry {

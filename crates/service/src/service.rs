@@ -220,7 +220,7 @@ impl<'a, P: OverlayProtocol> OverlayService<'a, P> {
                 self.clock_rounds,
                 &self.graph,
                 &mut self.states,
-                Vec::new(),
+                &mut Vec::new(),
                 obs,
             );
             moves_total += privileged as u64;

@@ -46,10 +46,11 @@ pub trait Transport {
     /// that disconnected mid-request simply misses its reply.
     fn reply(&mut self, client: u64, line: &str);
 
-    /// Clients silently dropped by the transport before the serve loop
-    /// ever saw them (0 for backends that cannot drop). The daemon polls
-    /// this into the `status` response and the telemetry registry, so the
-    /// failure mode is visible instead of silent.
+    /// Failed accept attempts, or clients dropped after accept, that the
+    /// serve loop never saw (0 for backends that cannot fail to accept).
+    /// The daemon reads this into the `status` response on every loop
+    /// iteration, and into the telemetry registry when one is attached, so
+    /// the failure mode is visible instead of silent.
     fn accept_failures(&self) -> u64 {
         0
     }
@@ -170,8 +171,9 @@ mod uds {
             })
         }
 
-        /// Clients dropped because `try_clone` on their accepted stream
-        /// failed (each was closed outright rather than left half-open).
+        /// Failed accept attempts (each retried 10 ms later), plus clients
+        /// dropped because `try_clone` on their accepted stream failed (each
+        /// was closed outright rather than left half-open).
         pub fn accept_failures(&self) -> u64 {
             self.accept_failures.load(Ordering::Relaxed)
         }
@@ -243,9 +245,13 @@ mod uds {
     ) -> JoinHandle<()> {
         std::thread::spawn(move || {
             let mut next_id = 1u64;
+            // Whether the last accept failed: only the first failure of a
+            // run is logged.
+            let mut failing = false;
             while !stop.load(Ordering::SeqCst) {
                 match listener.accept() {
                     Ok((stream, _addr)) => {
+                        failing = false;
                         let id = next_id;
                         next_id += 1;
                         match stream.try_clone() {
@@ -266,10 +272,21 @@ mod uds {
                             }
                         }
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    Err(e) => {
+                        // An empty backlog, or a failed accept (EMFILE, say)
+                        // that leaves the listener usable: count a failure,
+                        // and retry both on the next tick, so the daemon
+                        // accepts again once descriptors free up.
+                        let failed = e.kind() != std::io::ErrorKind::WouldBlock;
+                        if failed {
+                            accept_failures.fetch_add(1, Ordering::Relaxed);
+                            if !failing {
+                                eprintln!("uds: accept failed (retrying every 10 ms): {e}");
+                            }
+                        }
+                        failing = failed;
                         std::thread::sleep(Duration::from_millis(10));
                     }
-                    Err(_) => return,
                 }
             }
         })
